@@ -76,14 +76,7 @@ BenchOptions ParseArgs(int argc, char** argv) {
         opts.node_counts.push_back(std::atoi(n.c_str()));
       }
     } else if (arg.rfind("--scale=", 0) == 0) {
-      const std::string v = value("--scale=");
-      if (v == "tiny") {
-        opts.scale = AppScale::kTiny;
-      } else if (v == "default") {
-        opts.scale = AppScale::kDefault;
-      } else if (v == "paper") {
-        opts.scale = AppScale::kPaper;
-      } else {
+      if (!ParseAppScale(value("--scale="), &opts.scale)) {
         Usage(argv[0]);
       }
     } else if (arg.rfind("--apps=", 0) == 0) {
@@ -96,14 +89,7 @@ BenchOptions ParseArgs(int argc, char** argv) {
     } else if (arg.rfind("--page-size=", 0) == 0) {
       opts.page_size = std::atoll(value("--page-size=").c_str());
     } else if (arg.rfind("--home=", 0) == 0) {
-      const std::string v = value("--home=");
-      if (v == "block") {
-        opts.home_policy = HomePolicy::kBlock;
-      } else if (v == "round-robin") {
-        opts.home_policy = HomePolicy::kRoundRobin;
-      } else if (v == "single-node") {
-        opts.home_policy = HomePolicy::kSingleNode;
-      } else {
+      if (!ParseHomePolicyName(value("--home="), &opts.home_policy)) {
         Usage(argv[0]);
       }
     } else if (arg.rfind("--fault-drop=", 0) == 0) {

@@ -3,7 +3,7 @@
 // overhead) for all four protocols, printed as stacked percentage tables plus
 // ASCII bars. With --causal, each table gains a companion built from the
 // causal span DAG instead of flat counters: the per-category critical-path
-// attribution of every blocking operation's wait (svmtrace's critpath sweep),
+// attribution of every blocking operation's wait (svmprof's critpath sweep),
 // telling not just how long nodes waited but what the waits were made of.
 #include <cstdio>
 #include <memory>

@@ -18,10 +18,7 @@ int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
 
   std::printf("=== Table 2: Speedups on the simulated Paragon ===\n");
-  std::printf("scale=%s page=%lld home=%s\n\n",
-              opts.scale == AppScale::kPaper
-                  ? "paper"
-                  : (opts.scale == AppScale::kTiny ? "tiny" : "default"),
+  std::printf("scale=%s page=%lld home=%s\n\n", AppScaleName(opts.scale),
               static_cast<long long>(opts.page_size), HomePolicyName(opts.home_policy));
 
   Table table("Speedups (T_seq / T_parallel)");

@@ -42,6 +42,11 @@ enum class AppScale {
   kPaper,    // The paper's problem size (slow to simulate).
 };
 
+// The command-line name of a scale: "tiny", "default" or "paper".
+const char* AppScaleName(AppScale scale);
+// Inverse of AppScaleName; returns false for any other name.
+bool ParseAppScale(const std::string& name, AppScale* scale);
+
 // Factory by name: "lu", "sor", "water-nsq", "water-sp", "raytrace", "fft",
 // plus any extension registered with AppRegistrar (e.g. the synthetic
 // workloads of src/wkld). `seed` overrides the application's input seed

@@ -24,6 +24,28 @@ std::map<std::string, AppRegistrar::Factory>& Registry() {
 
 }  // namespace
 
+const char* AppScaleName(AppScale scale) {
+  switch (scale) {
+    case AppScale::kTiny:
+      return "tiny";
+    case AppScale::kDefault:
+      return "default";
+    case AppScale::kPaper:
+      return "paper";
+  }
+  return "?";
+}
+
+bool ParseAppScale(const std::string& name, AppScale* scale) {
+  for (const AppScale s : {AppScale::kTiny, AppScale::kDefault, AppScale::kPaper}) {
+    if (name == AppScaleName(s)) {
+      *scale = s;
+      return true;
+    }
+  }
+  return false;
+}
+
 AppRegistrar::AppRegistrar(const char* name, Factory factory) {
   const bool inserted = Registry().emplace(name, std::move(factory)).second;
   HLRC_CHECK_MSG(inserted, "duplicate app registration '%s'", name);

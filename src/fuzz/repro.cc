@@ -33,16 +33,6 @@ bool ParseMutationName(const std::string& s, TestMutation* out) {
   return false;
 }
 
-bool ParseHomePolicyName(const std::string& s, HomePolicy* out) {
-  for (int p = 0; p <= static_cast<int>(HomePolicy::kSingleNode); ++p) {
-    if (s == HomePolicyName(static_cast<HomePolicy>(p))) {
-      *out = static_cast<HomePolicy>(p);
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Fail(std::string* error, const std::string& why) {
   if (error != nullptr) {
     *error = "repro parse: " + why;

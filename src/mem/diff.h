@@ -62,8 +62,8 @@ Diff CreateDiff(PageId page, const std::byte* twin, const std::byte* current,
                 int64_t page_bytes, int word_bytes);
 
 // The pre-optimization implementation (per-word memcmp, no clean-page
-// short-circuit). Kept as the differential-testing oracle for CreateDiff and
-// as the baseline for bench/perf_wallclock; must produce byte-identical runs.
+// short-circuit). Kept as the differential-testing oracle for CreateDiff
+// (test_diff_fast); must produce byte-identical runs.
 Diff CreateDiffReference(PageId page, const std::byte* twin, const std::byte* current,
                          int64_t page_bytes, int word_bytes);
 

@@ -240,7 +240,7 @@ bool ValidateRunSummary(const JsonValue& root, std::string* err) {
   // Optional causal-span section (svmsim --metrics-out records spans; see
   // src/tracing). Structural checks only — this layer sits below src/tracing,
   // so kind names and DAG well-formedness are checked by ParseSpans /
-  // CheckSpanDag (svmtrace --check).
+  // CheckSpanDag (svmprof --check).
   const JsonValue* spans = root.Find("spans");
   if (spans != nullptr) {
     if (!spans->IsObject() || spans->GetString("schema") != "hlrc-spans" ||

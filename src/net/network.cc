@@ -227,8 +227,6 @@ void Network::Transmit(const std::shared_ptr<WireFrame>& frame, bool retransmit)
   }
   if (retransmit) {
     ++s.msgs_retransmitted;
-    TraceNet(frame->src, TraceEvent::kNetRetransmit, static_cast<int64_t>(frame->type),
-             frame->dst);
   }
 
   FaultDecision fault;
@@ -289,7 +287,6 @@ void Network::Transmit(const std::shared_ptr<WireFrame>& frame, bool retransmit)
                        static_cast<uint64_t>(frame->type), 0);
     }
     ++s.msgs_dropped_in_net;
-    TraceNet(frame->src, TraceEvent::kNetDrop, static_cast<int64_t>(frame->type), frame->dst);
     return;
   }
 
@@ -306,7 +303,6 @@ void Network::Transmit(const std::shared_ptr<WireFrame>& frame, bool retransmit)
                        static_cast<uint64_t>(frame->type), 1);
     }
     ++s.msgs_dropped_in_net;
-    TraceNet(frame->src, TraceEvent::kNetDrop, static_cast<int64_t>(frame->type), frame->dst);
     return;
   }
 
@@ -390,12 +386,6 @@ void Network::DeliverToHandler(Message msg) {
   }
   Handler& handler = handlers_[msg.dst];
   handler(std::move(msg));
-}
-
-void Network::TraceNet(NodeId node, TraceEvent event, int64_t arg0, int64_t arg1) {
-  if (trace_ != nullptr) {
-    trace_->Record(node, engine_->Now(), event, arg0, arg1);
-  }
 }
 
 TrafficStats Network::TotalStats() const {

@@ -31,7 +31,7 @@
 #include "src/net/reliable_channel.h"
 #include "src/net/topology.h"
 #include "src/sim/engine.h"
-#include "src/trace/trace.h"
+#include "src/tracing/span.h"
 
 namespace hlrc {
 
@@ -126,9 +126,6 @@ class Network {
   // Enables the reliable-delivery layer. Must be called before any Send.
   void EnableReliableDelivery(const ReliabilityConfig& config);
 
-  // Records net-level events (drops, retransmits, dup-drops) when non-null.
-  void SetTraceLog(TraceLog* log) { trace_ = log; }
-
   // Records causal spans (src/tracing/span.h): queue / wire sub-spans per
   // transmission and retransmit sub-spans in the reliable channel, each
   // linked from the Message's causal parent. Pure observation; pass nullptr
@@ -170,8 +167,6 @@ class Network {
   // Hands an accepted message to the destination's protocol handler.
   void DeliverToHandler(Message msg);
 
-  void TraceNet(NodeId node, TraceEvent event, int64_t arg0, int64_t arg1);
-
   // Raw instrument pointers resolved once in AttachMetrics; empty when
   // metrics are off, so the hot-path cost is one vector-emptiness branch.
   struct NodeInstruments {
@@ -197,7 +192,6 @@ class Network {
   DeliveryJitterHook jitter_hook_;
   CoverageObserver* coverage_ = nullptr;
   std::vector<uint32_t> last_delivered_type_;  // Per dst, for kMsgEdge edges.
-  TraceLog* trace_ = nullptr;
   SpanTracer* spans_ = nullptr;
   std::vector<NodeInstruments> instruments_;
   std::unique_ptr<ReliableChannel> channel_;

@@ -204,8 +204,6 @@ void ReliableChannel::OnArrival(const std::shared_ptr<WireFrame>& frame) {
   ReceiverPair& rp = receivers_[PairIndex(frame->src, frame->dst)];
   if (frame->seq < rp.next_expected || rp.held.count(frame->seq) != 0) {
     ++network_->stats_[frame->dst].msgs_duplicated_dropped;
-    network_->TraceNet(frame->dst, TraceEvent::kNetDupDrop,
-                       static_cast<int64_t>(frame->type), frame->src);
     return;
   }
 

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/common/log.h"
-
 namespace hlrc {
 
 void ErcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
@@ -46,9 +44,6 @@ void ErcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
     // nothing is ever invalidated under an update protocol). The flush is
     // fire-and-forget here; FlushBarrier gates outgoing grants and barrier
     // enters until every outstanding flush is acknowledged.
-    HLRC_TRACE("[%lld] node %d: ERC broadcast flush %llu (%zu diffs)",
-               (long long)engine()->Now(), self(), (unsigned long long)flush_id,
-               diffs.size());
     for (NodeId n = 0; n < nodes(); ++n) {
       if (n == self()) {
         continue;
@@ -98,11 +93,7 @@ Task<void> ErcProtocol::ResolveFault(PageId page, bool write) {
 void ErcProtocol::HandleUpdate(NodeId writer, uint64_t flush_id, std::vector<Diff> diffs,
                                int64_t apply_bytes) {
   (void)apply_bytes;
-  HLRC_TRACE("[%lld] node %d: ERC apply flush %llu from %d (%zu diffs, first page %d)",
-             (long long)engine()->Now(), self(), (unsigned long long)flush_id, writer,
-             diffs.size(), diffs.empty() ? -1 : diffs[0].page);
   for (const Diff& d : diffs) {
-    Trace(TraceEvent::kDiffApply, d.page, d.DataBytes());
     ApplyDiff(d, pages().PageData(d.page), pages().page_size());
     if (pages().HasTwin(d.page)) {
       // Concurrent local writes on a falsely-shared page: keep the twin in
@@ -121,8 +112,6 @@ void ErcProtocol::HandleAck(uint64_t flush_id) {
   auto it = flushes_.find(flush_id);
   HLRC_CHECK(it != flushes_.end());
   if (--it->second == 0) {
-    HLRC_TRACE("[%lld] node %d: ERC flush %llu fully acked", (long long)engine()->Now(),
-               self(), (unsigned long long)flush_id);
     flushes_.erase(it);
     if (flushes_.empty() && !flush_waiters_.empty()) {
       std::vector<std::function<void()>> waiters = std::move(flush_waiters_);

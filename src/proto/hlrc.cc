@@ -1,8 +1,6 @@
 #include "src/proto/hlrc.h"
 
 #include <algorithm>
-
-#include "src/common/log.h"
 #include <cstring>
 #include <utility>
 
@@ -99,8 +97,6 @@ void HlrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) 
     kept.push_back(p);
     ++stats_.diffs_created;
     MetricDiffCreated(p, d.DataBytes());
-    Trace(TraceEvent::kDiffCreate, p, d.DataBytes());
-    Trace(TraceEvent::kDiffFlush, p, home);
     // A later fetch of this page must not return a home copy that predates
     // our own flush, or our writes would be lost: require our own interval.
     UpdateRequired(p, self(), rec->id);
@@ -210,9 +206,6 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
         const uint64_t epoch = RequiredEpoch(page);
         ++stats_.page_fetches;
         MetricFetch(page, pages().page_size());
-        Trace(TraceEvent::kPageFetch, page, home);
-        HLRC_TRACE("[%lld] node %d: fetch page=%d from home %d", (long long)engine()->Now(),
-                   self(), page, home);
         HLRC_CHECK(fault_waiting_.find(page) == fault_waiting_.end());
         FaultWait& fw = fault_waiting_[page];
         fw.done = std::make_unique<Completion>(engine());
@@ -302,10 +295,6 @@ void HlrcProtocol::HandleDiffFlush(NodeId writer, PageId page, uint32_t interval
          std::move(payload));
     return;
   }
-  Trace(TraceEvent::kDiffApply, page, diff.DataBytes());
-  HLRC_TRACE("[%lld] home %d: apply flush page=%d writer=%d id=%u bytes=%lld",
-             (long long)engine()->Now(), self(), page, writer, interval,
-             (long long)diff.DataBytes());
   if (env().options->mutation == TestMutation::kHlrcSkipDiffApply && !mutation_fired_ &&
       writer != self()) {
     // Seeded bug (TestMutation): lose this diff's data but keep all the
@@ -433,8 +422,6 @@ void HlrcProtocol::HandlePageRequest(PageId page, NodeId requester, Required req
   }
   // Some diffs are still in flight: park the request until they land
   // (paper §2.4.2).
-  HLRC_TRACE("[%lld] home %d: park request page=%d from node %d", (long long)engine()->Now(),
-             self(), page, requester);
   pending_reqs_[page].push_back(
       PendingReq{requester, std::move(required), active_span_, engine()->Now()});
 }
@@ -445,9 +432,6 @@ HlrcProtocol::PageSnapshot HlrcProtocol::SnapshotPage(PageId page) {
 }
 
 void HlrcProtocol::SendPageReply(PageId page, NodeId requester, PageSnapshot snapshot) {
-  Trace(TraceEvent::kPageServe, page, requester);
-  HLRC_TRACE("[%lld] home %d: page reply page=%d -> node %d", (long long)engine()->Now(),
-             self(), page, requester);
   auto payload = std::make_unique<HomePageReplyPayload>();
   payload->page = page;
   payload->home = self();

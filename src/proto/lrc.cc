@@ -1,8 +1,6 @@
 #include "src/proto/lrc.h"
 
 #include <algorithm>
-
-#include "src/common/log.h"
 #include <cstring>
 #include <utility>
 
@@ -25,7 +23,6 @@ void LrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
       continue;  // The write changed nothing: no write notice needed.
     }
     kept.push_back(p);
-    Trace(TraceEvent::kDiffCreate, p, d.DataBytes());
     const SimTime create_cost = costs().DiffCreateCost(pages().page_size(), d.DataBytes());
     // With the lazy policy the diff work is deferred to the first request
     // (paper §2.1: diffs are created "eagerly, at the end of each interval,
@@ -247,10 +244,6 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
     const SimTime t_apply = engine()->Now();
     co_await ChargeCpu(costs().DiffApplyCost(diff.DataBytes()), BusyCat::kDiffApply);
     SpanEmit(SpanKind::kDiffApply, t_apply, cur_fault_span_, page, writer);
-    HLRC_TRACE("[%lld] node %d: apply diff page=%d writer=%d id=%u bytes=%lld",
-               (long long)engine()->Now(), self(), page, writer, id,
-               (long long)diff.DataBytes());
-    Trace(TraceEvent::kDiffApply, page, diff.DataBytes());
     ApplyDiff(diff, pages().PageData(page), pages().page_size());
     if (pages().HasTwin(page)) {
       // Keep the twin in sync so the next local diff contains only local
@@ -270,7 +263,6 @@ Task<void> LrcProtocol::FetchFullPage(PageId page) {
   HLRC_CHECK(target != self());
   ++stats_.page_fetches;
   MetricFetch(page, pages().page_size());
-  Trace(TraceEvent::kPageFetch, page, target);
 
   HLRC_CHECK(faults_.find(page) == faults_.end());
   FaultCtx& ctx = faults_[page];
@@ -376,7 +368,6 @@ void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
 }
 
 void LrcProtocol::ServePageRequest(PageId page, NodeId requester) {
-  Trace(TraceEvent::kPageServe, page, requester);
   const PageState& st = pages().State(page);
   HLRC_CHECK_MSG(st.has_copy, "node %d asked for page %d it does not hold", self(), page);
   auto payload = std::make_unique<HomelessPageReplyPayload>();
@@ -611,7 +602,6 @@ void LrcProtocol::HandleGcInfo(NodeId node,
 void LrcProtocol::ApplyGcValidate(const std::vector<std::pair<PageId, NodeId>>& validators,
                                   const IntervalBatch& intervals) {
   HLRC_CHECK(gc_map_.empty());
-  Trace(TraceEvent::kGcStart, static_cast<int64_t>(validators.size()));
   // Learn every pre-barrier interval now (the barrier release will re-send
   // them and dedup) so validation sees the complete pending sets.
   const SimTime wn_cost = ApplyIntervals(intervals);
@@ -658,7 +648,6 @@ void LrcProtocol::OnBarrierReleased() {
     return;
   }
   ++stats_.gc_runs;
-  Trace(TraceEvent::kGcEnd, static_cast<int64_t>(gc_map_.size()));
   const SimTime cost =
       costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(gc_map_.size());
 

@@ -3,6 +3,7 @@
 #define SRC_PROTO_OPTIONS_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/common/types.h"
 
@@ -37,6 +38,8 @@ enum class HomePolicy : int {
   kSingleNode = 2,  // All homes on node 0 (worst case, for ablations).
 };
 const char* HomePolicyName(HomePolicy p);
+// Inverse of HomePolicyName; returns false for any other name.
+bool ParseHomePolicyName(const std::string& s, HomePolicy* out);
 
 // When the homeless protocols create diffs (paper §2.1: "eagerly, at the end
 // of each interval, or lazily, on demand").

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/log.h"
-
 namespace hlrc {
 
 const char* ProtocolName(ProtocolKind k) {
@@ -45,6 +43,16 @@ const char* HomePolicyName(HomePolicy p) {
       return "single-node";
   }
   return "?";
+}
+
+bool ParseHomePolicyName(const std::string& s, HomePolicy* out) {
+  for (int p = 0; p <= static_cast<int>(HomePolicy::kSingleNode); ++p) {
+    if (s == HomePolicyName(static_cast<HomePolicy>(p))) {
+      *out = static_cast<HomePolicy>(p);
+      return true;
+    }
+  }
+  return false;
 }
 
 const char* TestMutationName(TestMutation m) {
@@ -240,9 +248,6 @@ ProtocolNode::CloseActions ProtocolNode::CloseIntervalPrepared() {
   if (!rec.pages.empty()) {
     Cover(CoverageObserver::Domain::kInterval,
           CoverageBucket(rec.pages.size()), 0);
-    Trace(TraceEvent::kIntervalClose, rec.id, static_cast<int64_t>(rec.pages.size()));
-    HLRC_TRACE("[%lld] node %d: close interval id=%u with %zu pages (first=%d)",
-               (long long)engine()->Now(), env_.self, rec.id, rec.pages.size(), rec.pages[0]);
     vt_.Bump(env_.self);
     HLRC_CHECK(vt_.Get(env_.self) == rec.id);
     ++stats_.intervals_closed;
@@ -278,14 +283,9 @@ SimTime ProtocolNode::ApplyIntervals(const IntervalBatch& recs) {
   for (const IntervalPtr& handle : recs) {
     const IntervalRecord& rec = *handle;
     if (rec.id <= vt_.Get(rec.writer)) {
-      HLRC_TRACE("[%lld] node %d: skip interval (w=%d id=%u) vt=%u",
-                 (long long)engine()->Now(), env_.self, rec.writer, rec.id,
-                 vt_.Get(rec.writer));
       continue;  // Already known.
     }
     vt_.Set(rec.writer, std::max(vt_.Get(rec.writer), rec.id));
-    HLRC_TRACE("[%lld] node %d: apply interval (w=%d id=%u) %zu pages", (long long)engine()->Now(),
-               env_.self, rec.writer, rec.id, rec.pages.size());
     stats_.write_notices_received += static_cast<int64_t>(rec.pages.size());
     cost += costs().wn_apply * static_cast<SimTime>(rec.pages.size());
     for (PageId p : rec.pages) {
@@ -353,7 +353,6 @@ Task<void> ProtocolNode::EnsureAccessSpans(std::vector<PageSpan> spans) {
         SpanBegin(SpanKind::kFault, fault_page, fault_write ? 1 : 0);
     SpanVt(fault_span);
     cur_fault_span_ = fault_span;
-    Trace(TraceEvent::kFault, fault_page, fault_write ? 1 : 0);
     co_await ChargeCpu(costs().page_fault, BusyCat::kFault);
     if (fault_invalid) {
       ++stats_.read_misses;
@@ -413,16 +412,11 @@ Task<void> ProtocolNode::Acquire(LockId lock) {
   LockState& ls = Lock(lock);
   HLRC_CHECK_MSG(!ls.in_use, "node %d: recursive acquire of lock %d", env_.self, lock);
   if (ls.held) {
-    HLRC_TRACE("[%lld] node %d: local reacquire lock %d", (long long)engine()->Now(),
-               env_.self, lock);
     ls.in_use = true;
     co_return;  // Local reacquire: no interval end, no messages.
   }
 
   ++stats_.remote_acquires;
-  Trace(TraceEvent::kLockRequest, lock);
-  HLRC_TRACE("[%lld] node %d: remote acquire lock %d", (long long)engine()->Now(), env_.self,
-             lock);
   // A remote acquire delimits the current interval (paper §2.1 case (i)).
   co_await CloseIntervalFromApp();
 
@@ -446,7 +440,6 @@ Task<void> ProtocolNode::Acquire(LockId lock) {
   }
 
   co_await *ls.waiting;
-  Trace(TraceEvent::kLockAcquired, lock);
   // `ls` may dangle after suspension (other locks can rehash the map).
   LockState& ls2 = Lock(lock);
   ls2.waiting.reset();
@@ -510,9 +503,6 @@ void ProtocolNode::HandleLockForward(LockId lock, NodeId requester, const Vector
 
 void ProtocolNode::GrantLock(LockId lock, NodeId requester, const VectorClock& rvt,
                              SpanId cause) {
-  Trace(TraceEvent::kLockGrant, lock, requester);
-  HLRC_TRACE("[%lld] node %d: grant lock %d -> node %d", (long long)engine()->Now(), env_.self,
-             lock, requester);
   LockState& ls = Lock(lock);
   HLRC_CHECK(ls.held && !ls.in_use);
   ls.held = false;
@@ -567,8 +557,6 @@ void ProtocolNode::GrantLock(LockId lock, NodeId requester, const VectorClock& r
 }
 
 void ProtocolNode::HandleLockGrant(LockId lock, IntervalBatch intervals) {
-  HLRC_TRACE("[%lld] node %d: received grant for lock %d", (long long)engine()->Now(),
-             env_.self, lock);
   Cover(CoverageObserver::Domain::kSyncEpoch, 0,
         CoverageBucket(intervals.size()));  // Sync kind 0: lock grant.
   const SimTime cost = ApplyIntervals(intervals);
@@ -587,7 +575,6 @@ void ProtocolNode::HandleLockGrant(LockId lock, IntervalBatch intervals) {
 
 Task<void> ProtocolNode::Barrier(BarrierId barrier) {
   ++stats_.barriers;
-  Trace(TraceEvent::kBarrierEnter, barrier);
   co_await CloseIntervalFromApp();
 
   WaitScope ws(this, WaitCat::kBarrier);
@@ -633,7 +620,6 @@ Task<void> ProtocolNode::Barrier(BarrierId barrier) {
 
   co_await *barrier_waiting_;
   barrier_waiting_.reset();
-  Trace(TraceEvent::kBarrierExit, barrier);
   SpanEnd(bar_span);
   ws.Finish();
 }

@@ -33,7 +33,7 @@
 #include "src/sim/completion.h"
 #include "src/sim/processor.h"
 #include "src/sim/task.h"
-#include "src/trace/trace.h"
+#include "src/tracing/span.h"
 
 namespace hlrc {
 
@@ -89,7 +89,6 @@ class ProtocolNode {
     const SharedSpace* space = nullptr;  // For allocation-aware home placement.
     const CostModel* costs = nullptr;
     const ProtocolOptions* options = nullptr;
-    TraceLog* trace = nullptr;  // Optional structured event trace.
     NodeId self = kInvalidNode;
     int nodes = 0;
   };
@@ -146,9 +145,6 @@ class ProtocolNode {
   // Number of pages actually allocated by the application; the block home
   // policy distributes over this range. Set by System at run start.
   void SetUsedPages(int used) { used_pages_ = used; }
-
-  // Attaches a structured trace sink (System::EnableTracing).
-  void SetTraceLog(TraceLog* trace) { env_.trace = trace; }
 
   // Attaches a causal span tracer (System::EnableSpans). Pure observation:
   // span recording must not change a single simulated timestamp (pinned by
@@ -269,13 +265,6 @@ class ProtocolNode {
 
   // Updates the protocol-memory high-water mark.
   void NoteMemory();
-
-  // Records a structured trace event (no-op when tracing is off).
-  void Trace(TraceEvent event, int64_t arg0 = 0, int64_t arg1 = 0) const {
-    if (env_.trace != nullptr) {
-      env_.trace->Record(env_.self, env_.engine->Now(), event, arg0, arg1);
-    }
-  }
 
   // Metric recording helpers: no-ops when metrics are off, O(1) otherwise.
   // Subclasses call them at the sites where the corresponding ProtoStats

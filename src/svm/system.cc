@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/log.h"
 
 namespace hlrc {
 
@@ -211,16 +210,6 @@ System::System(const SimConfig& config) : config_(config) {
 }
 
 System::~System() = default;
-
-TraceLog* System::EnableTracing(size_t capacity) {
-  HLRC_CHECK_MSG(!ran_, "EnableTracing must precede Run");
-  trace_ = std::make_unique<TraceLog>(capacity);
-  for (Node& node : nodes_) {
-    node.proto->SetTraceLog(trace_.get());
-  }
-  network_->SetTraceLog(trace_.get());
-  return trace_.get();
-}
 
 void System::SetWorkloadObserver(WorkloadObserver* observer) {
   HLRC_CHECK_MSG(!ran_, "SetWorkloadObserver must precede Run");

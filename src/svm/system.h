@@ -32,7 +32,7 @@
 #include "src/sim/task.h"
 #include "src/svm/config.h"
 #include "src/svm/workload_observer.h"
-#include "src/trace/trace.h"
+#include "src/tracing/span.h"
 
 namespace hlrc {
 
@@ -155,11 +155,6 @@ class System {
   // Non-null when config.fault is active (injected-fault counters).
   const FaultInjector* fault_injector() const { return fault_.get(); }
 
-  // Enables structured protocol tracing (see src/trace). Must be called
-  // before Run. Returns the log for inspection/dumping after the run.
-  TraceLog* EnableTracing(size_t capacity = 1 << 20);
-  TraceLog* trace() { return trace_.get(); }
-
   // Enables the metrics layer (src/metrics): per-node latency histograms in
   // the protocol and network, the per-page heat profile, and a sampler that
   // snapshots gauge series every `sample_interval` of simulated time. Must
@@ -173,7 +168,7 @@ class System {
   // Enables causal span tracing (src/tracing): per-operation cross-node
   // lifecycles — page faults, lock-acquire chains, barrier epochs, retransmit
   // sub-spans — recorded as a span DAG for critical-path attribution
-  // (tools/svmtrace). Must be called before Run. Pure observation: enabling
+  // (svmprof critpath). Must be called before Run. Pure observation: enabling
   // spans does not change a single simulated timestamp (tested by
   // test_golden_determinism).
   SpanTracer* EnableSpans(size_t capacity = 1 << 16);
@@ -225,7 +220,6 @@ class System {
   NodeReport SnapshotNode(NodeId n) const;
 
   SimConfig config_;
-  std::unique_ptr<TraceLog> trace_;
   std::unique_ptr<Metrics> metrics_;
   std::unique_ptr<SpanTracer> spans_;
   std::unique_ptr<Engine> engine_;

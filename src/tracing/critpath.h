@@ -1,4 +1,4 @@
-// Critical-path attribution over a span DAG (svmtrace critpath / slowest).
+// Critical-path attribution over a span DAG (svmprof critpath / slowest).
 //
 // For every blocking root (fault / lock / barrier) the root's wait is split
 // among the causal descendants active during it: at each instant the deepest

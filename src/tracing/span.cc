@@ -5,6 +5,7 @@
 #include "src/common/check.h"
 #include "src/metrics/json.h"
 #include "src/metrics/json_writer.h"
+#include "src/metrics/sampler.h"
 
 namespace hlrc {
 
@@ -112,8 +113,21 @@ void SpanTracer::SetVt(SpanId id, const std::vector<uint32_t>& vt) {
   spans_[static_cast<size_t>(id)].vt = vt;
 }
 
-std::string ChromeSpanEvents(const SpanTracer& tracer) {
-  std::string out;
+bool WriteChromeTrace(const std::string& path, const SpanTracer& tracer,
+                      const Sampler& sampler, std::string* err) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    *err = "cannot open " + path + " for writing";
+    return false;
+  }
+  // Events are staged in `out` and written in chunks, so a run's full span
+  // set never sits in memory as one string.
+  std::string out = "[\n";
+  bool ok = true;
+  auto flush = [&] {
+    ok = ok && std::fwrite(out.data(), 1, out.size(), f) == out.size();
+    out.clear();
+  };
   char buf[256];
   bool first = true;
   auto append = [&](const char* fmt, auto... args) {
@@ -123,6 +137,9 @@ std::string ChromeSpanEvents(const SpanTracer& tracer) {
     first = false;
     std::snprintf(buf, sizeof(buf), fmt, args...);
     out += buf;
+    if (out.size() >= (1 << 20)) {
+      flush();
+    }
   };
   int64_t flow_id = 0;
   for (const Span& s : tracer.spans()) {
@@ -146,7 +163,20 @@ std::string ChromeSpanEvents(const SpanTracer& tracer) {
           static_cast<long long>(flow_id), ToMicros(s.t0), s.node);
     }
   }
-  return out;
+  const std::string counters = ChromeCounterEvents(sampler);
+  if (!counters.empty()) {
+    if (!first) {
+      out += ",\n";
+    }
+    out += counters;
+  }
+  out += "\n]\n";
+  flush();
+  if (std::fclose(f) != 0 || !ok) {
+    *err = "short write to " + path;
+    return false;
+  }
+  return true;
 }
 
 void WriteSpansJson(JsonWriter* w, const SpanTracer& tracer) {

@@ -24,6 +24,7 @@ namespace hlrc {
 
 class JsonWriter;
 struct JsonValue;
+class Sampler;
 
 using SpanId = int64_t;
 constexpr SpanId kNoSpan = -1;
@@ -110,11 +111,13 @@ class SpanTracer {
 inline constexpr const char* kSpansSchemaName = "hlrc-spans";
 inline constexpr int kSpansSchemaVersion = 1;
 
-// Chrome trace events for TraceLog::DumpChromeJson's extra-events splice:
-// one "X" complete slice per span (pid 0, tid = node) and an "s"/"f" flow
-// pair per causal link so chains render as arrows in Perfetto. Returns
-// comma-joined event objects with no trailing comma (empty when no spans).
-std::string ChromeSpanEvents(const SpanTracer& tracer);
+// Writes the execution trace as a Chrome trace-event JSON array
+// (chrome://tracing, Perfetto): one "X" complete slice per span (pid 0,
+// tid = node), an "s"/"f" flow pair per causal link so chains render as
+// arrows, and the sampler's counter tracks (ChromeCounterEvents). Returns
+// false (with a message in *err) when the file cannot be written.
+bool WriteChromeTrace(const std::string& path, const SpanTracer& tracer,
+                      const Sampler& sampler, std::string* err);
 
 // Writes the versioned `"spans"` run-summary section (key + object) into an
 // open JSON object.

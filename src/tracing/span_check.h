@@ -1,4 +1,4 @@
-// Span-DAG well-formedness checker (svmtrace --check, test_spans).
+// Span-DAG well-formedness checker (svmprof --check, test_spans).
 #ifndef SRC_TRACING_SPAN_CHECK_H_
 #define SRC_TRACING_SPAN_CHECK_H_
 

@@ -54,5 +54,18 @@ std::string CaseName(const ::testing::TestParamInfo<AppCase>& info) {
 INSTANTIATE_TEST_SUITE_P(AllApps, AppCorrectnessTest, ::testing::ValuesIn(AllCases()),
                          CaseName);
 
+TEST(AppScaleNames, RoundTripAndRejectUnknown) {
+  for (const AppScale s : {AppScale::kTiny, AppScale::kDefault, AppScale::kPaper}) {
+    AppScale parsed = s == AppScale::kTiny ? AppScale::kPaper : AppScale::kTiny;
+    ASSERT_TRUE(ParseAppScale(AppScaleName(s), &parsed)) << AppScaleName(s);
+    EXPECT_EQ(parsed, s);
+  }
+  AppScale untouched = AppScale::kPaper;
+  for (const char* bad : {"tny", "", "Paper", "default "}) {
+    EXPECT_FALSE(ParseAppScale(bad, &untouched)) << bad;
+  }
+  EXPECT_EQ(untouched, AppScale::kPaper);
+}
+
 }  // namespace
 }  // namespace hlrc

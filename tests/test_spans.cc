@@ -76,6 +76,24 @@ TEST(SpanDag, WellFormedAcrossPaperAppsAndProtocols) {
       }
       EXPECT_TRUE(saw_root) << where;
 
+      // Each blocking operation is one root span: per node, barrier roots
+      // equal the barriers entered and lock roots the acquires that needed
+      // messages.
+      std::vector<int64_t> barrier_roots(8, 0);
+      std::vector<int64_t> lock_roots(8, 0);
+      for (const Span& s : spans->spans()) {
+        if (s.kind == SpanKind::kBarrier) {
+          ++barrier_roots[static_cast<size_t>(s.node)];
+        } else if (s.kind == SpanKind::kLock) {
+          ++lock_roots[static_cast<size_t>(s.node)];
+        }
+      }
+      for (size_t n = 0; n < 8; ++n) {
+        const ProtoStats& p = sys.report().nodes[n].proto;
+        EXPECT_EQ(barrier_roots[n], p.barriers) << where << ": node " << n;
+        EXPECT_EQ(lock_roots[n], p.remote_acquires) << where << ": node " << n;
+      }
+
       ExpectExactPartition(AttributeCriticalPaths(spans->spans()), where);
     }
   }

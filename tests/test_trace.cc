@@ -1,9 +1,11 @@
-#include "src/trace/trace.h"
-
+// The execution trace (svmsim --trace): WriteChromeTrace draws a run's span
+// slices, causal flow arrows and metric counter tracks into one Chrome
+// trace-event file, which must survive a strict parse.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
+#include <map>
 #include <string>
 
 #include "src/metrics/json.h"
@@ -14,85 +16,13 @@
 namespace hlrc {
 namespace {
 
-TEST(TraceLog, RecordsInOrder) {
-  TraceLog log(16);
-  log.Record(0, Micros(1), TraceEvent::kFault, 7, 1);
-  log.Record(1, Micros(2), TraceEvent::kLockRequest, 3);
-  auto snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].event, TraceEvent::kFault);
-  EXPECT_EQ(snap[0].arg0, 7);
-  EXPECT_EQ(snap[1].node, 1);
-  EXPECT_EQ(log.recorded(), 2);
-  EXPECT_EQ(log.dropped(), 0);
-}
-
-TEST(TraceLog, RingDropsOldest) {
-  TraceLog log(4);
-  for (int i = 0; i < 10; ++i) {
-    log.Record(0, Micros(i), TraceEvent::kFault, i);
-  }
-  auto snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().arg0, 6);  // Oldest surviving.
-  EXPECT_EQ(snap.back().arg0, 9);
-  EXPECT_EQ(log.dropped(), 6);
-  EXPECT_EQ(log.recorded(), 10);
-}
-
-TEST(TraceLog, CountsPerEvent) {
-  TraceLog log(64);
-  log.Record(0, 0, TraceEvent::kDiffCreate);
-  log.Record(0, 0, TraceEvent::kDiffCreate);
-  log.Record(0, 0, TraceEvent::kDiffApply);
-  EXPECT_EQ(log.CountOf(TraceEvent::kDiffCreate), 2);
-  EXPECT_EQ(log.CountOf(TraceEvent::kDiffApply), 1);
-  EXPECT_EQ(log.CountOf(TraceEvent::kGcStart), 0);
-}
-
-TEST(TraceLog, EventNamesAreUnique) {
-  for (int a = 0; a < static_cast<int>(TraceEvent::kCount); ++a) {
-    EXPECT_STRNE(TraceEventName(static_cast<TraceEvent>(a)), "?");
-    for (int b = a + 1; b < static_cast<int>(TraceEvent::kCount); ++b) {
-      EXPECT_STRNE(TraceEventName(static_cast<TraceEvent>(a)),
-                   TraceEventName(static_cast<TraceEvent>(b)));
-    }
-  }
-}
-
-TEST(TraceIntegration, EventsMatchProtocolCounters) {
-  SimConfig cfg = testing::SmallConfig(ProtocolKind::kHlrc, 4);
-  System sys(cfg);
-  TraceLog* trace = sys.EnableTracing();
-  const GlobalAddr addr = sys.space().AllocPageAligned(8 * 1024);
-  sys.Run([&](NodeContext& ctx) -> Task<void> {
-    for (int r = 0; r < 3; ++r) {
-      co_await ctx.Lock(1);
-      co_await ctx.Write(addr, 1024);
-      *ctx.Ptr<int64_t>(addr) += 1;
-      co_await ctx.Unlock(1);
-      co_await ctx.Barrier(0);
-    }
-  });
-
-  const NodeReport totals = sys.report().Totals();
-  EXPECT_EQ(trace->CountOf(TraceEvent::kPageFetch), totals.proto.page_fetches);
-  EXPECT_EQ(trace->CountOf(TraceEvent::kDiffCreate), totals.proto.diffs_created);
-  EXPECT_EQ(trace->CountOf(TraceEvent::kDiffApply), totals.proto.diffs_applied);
-  EXPECT_EQ(trace->CountOf(TraceEvent::kBarrierEnter), totals.proto.barriers);
-  EXPECT_EQ(trace->CountOf(TraceEvent::kBarrierExit), totals.proto.barriers);
-  EXPECT_EQ(trace->CountOf(TraceEvent::kLockRequest), totals.proto.remote_acquires);
-  // Times are monotone within the snapshot.
-  auto snap = trace->Snapshot();
-  for (size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LE(snap[i - 1].time, snap[i].time);
-  }
-}
-
 std::string ReadWholeFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   EXPECT_NE(f, nullptr) << path;
   std::string content;
+  if (f == nullptr) {
+    return content;
+  }
   char buf[4096];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
@@ -102,84 +32,49 @@ std::string ReadWholeFile(const std::string& path) {
   return content;
 }
 
-TEST(TraceLog, WraparoundKeepsNewestAcrossManyTurns) {
-  // Fill the ring several times over; the survivors must be exactly the
-  // newest `capacity` records in recording order.
-  TraceLog log(8);
-  const int kTotal = 100;
-  for (int i = 0; i < kTotal; ++i) {
-    log.Record(i % 3, Micros(i), TraceEvent::kFault, i);
-  }
-  auto snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(snap[static_cast<size_t>(i)].arg0, kTotal - 8 + i);
-  }
-  EXPECT_EQ(log.dropped(), kTotal - 8);
-}
+// Events of a strict-parsed trace file, tallied by phase.
+struct TraceCounts {
+  int64_t slices = 0;
+  int64_t counters = 0;
+  int64_t other = 0;
+  std::map<int64_t, int> flow_starts;  // Flow id -> "s" events.
+  std::map<int64_t, int> flow_ends;    // Flow id -> "f" events.
+};
 
-TEST(TraceLog, ChromeJsonParsesWithStrictParser) {
-  // Strict-parse the whole dump: no trailing commas anywhere, every event
-  // name escaped properly, every record accounted for.
-  TraceLog log(64);
-  for (int e = 0; e < static_cast<int>(TraceEvent::kCount); ++e) {
-    log.Record(e % 4, Micros(e), static_cast<TraceEvent>(e), e, -e);
-  }
-  const std::string path = ::testing::TempDir() + "/hlrc_trace_strict.json";
-  log.DumpChromeJson(path);
-  JsonValue doc;
+void WriteAndParse(const std::string& path, const System& sys, TraceCounts* counts) {
   std::string err;
+  ASSERT_TRUE(WriteChromeTrace(path, *sys.spans(), sys.metrics()->sampler(), &err)) << err;
+  JsonValue doc;
   ASSERT_TRUE(ParseJson(ReadWholeFile(path), &doc, &err)) << err;
   std::remove(path.c_str());
   ASSERT_TRUE(doc.IsArray());
-  ASSERT_EQ(doc.arr.size(), static_cast<size_t>(TraceEvent::kCount));
-  for (size_t i = 0; i < doc.arr.size(); ++i) {
-    const JsonValue& ev = doc.arr[i];
-    EXPECT_EQ(ev.GetString("name"), TraceEventName(static_cast<TraceEvent>(i)));
-    EXPECT_EQ(ev.GetString("ph"), "i");
-    EXPECT_EQ(ev.GetInt("tid"), static_cast<int64_t>(i % 4));
-    EXPECT_EQ(ev.Find("args")->GetInt("a0"), static_cast<int64_t>(i));
+  for (const JsonValue& ev : doc.arr) {
+    ASSERT_TRUE(ev.IsObject());
+    EXPECT_FALSE(ev.GetString("name").empty());
+    const std::string ph = ev.GetString("ph");
+    if (ph == "X") {
+      ++counts->slices;
+      const JsonValue* dur = ev.Find("dur");
+      ASSERT_NE(dur, nullptr);
+      EXPECT_GE(dur->AsDouble(), 0.0);
+    } else if (ph == "s") {
+      ++counts->flow_starts[ev.GetInt("id")];
+    } else if (ph == "f") {
+      ++counts->flow_ends[ev.GetInt("id")];
+    } else if (ph == "C") {
+      ++counts->counters;
+      ASSERT_NE(ev.Find("args"), nullptr);
+    } else {
+      ++counts->other;
+    }
   }
 }
 
-TEST(TraceLog, ExtraEventsSpliceIntoEventArray) {
-  TraceLog log(16);
-  log.Record(0, Micros(1), TraceEvent::kFault, 1);
-  const std::string path = ::testing::TempDir() + "/hlrc_trace_splice.json";
-  log.DumpChromeJson(path,
-                     "{\"name\":\"c\",\"ph\":\"C\",\"ts\":0.0,\"pid\":0,\"tid\":0,"
-                     "\"args\":{\"value\":7}}");
-  JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(ParseJson(ReadWholeFile(path), &doc, &err)) << err;
-  std::remove(path.c_str());
-  ASSERT_EQ(doc.arr.size(), 2u);
-  EXPECT_EQ(doc.arr[0].GetString("ph"), "i");
-  EXPECT_EQ(doc.arr[1].GetString("ph"), "C");
-  EXPECT_EQ(doc.arr[1].Find("args")->GetInt("value"), 7);
-}
-
-TEST(TraceLog, ExtraEventsIntoEmptyTraceStillParse) {
-  TraceLog log(16);  // Nothing recorded: splice must not emit a leading comma.
-  const std::string path = ::testing::TempDir() + "/hlrc_trace_splice_empty.json";
-  log.DumpChromeJson(path, "{\"name\":\"only\",\"ph\":\"C\",\"ts\":0.0,\"pid\":0,"
-                           "\"tid\":0,\"args\":{\"value\":1}}");
-  JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(ParseJson(ReadWholeFile(path), &doc, &err)) << err;
-  std::remove(path.c_str());
-  ASSERT_EQ(doc.arr.size(), 1u);
-  EXPECT_EQ(doc.arr[0].GetString("name"), "only");
-}
-
-TEST(TraceIntegration, SpanFlowEventSpliceStrictParses) {
-  // The causal-span slices and flow arrows svmsim splices into the execution
-  // trace (ChromeSpanEvents) must survive a strict parse of the whole file:
-  // complete slices, paired flow begin/end events, no trailing commas.
+TEST(ChromeTrace, SpansFlowsAndCountersStrictParse) {
   SimConfig cfg = testing::SmallConfig(ProtocolKind::kHlrc, 4);
   System sys(cfg);
-  TraceLog* trace = sys.EnableTracing();
-  sys.EnableSpans();
+  const Metrics* metrics = sys.EnableMetrics(Micros(100));
+  const SpanTracer* spans = sys.EnableSpans();
   const GlobalAddr addr = sys.space().AllocPageAligned(8 * 1024);
   sys.Run([&](NodeContext& ctx) -> Task<void> {
     co_await ctx.Lock(1);
@@ -190,68 +85,68 @@ TEST(TraceIntegration, SpanFlowEventSpliceStrictParses) {
     co_await ctx.Read(addr, 8);
   });
 
-  const std::string extra = ChromeSpanEvents(*sys.spans());
-  ASSERT_FALSE(extra.empty());
-  const std::string path = ::testing::TempDir() + "/hlrc_trace_spans.json";
-  trace->DumpChromeJson(path, extra);
-  JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(ParseJson(ReadWholeFile(path), &doc, &err)) << err;
-  std::remove(path.c_str());
-  ASSERT_TRUE(doc.IsArray());
-
-  int64_t slices = 0, flow_starts = 0, flow_ends = 0;
-  for (const JsonValue& ev : doc.arr) {
-    ASSERT_TRUE(ev.IsObject());
-    const std::string ph = ev.GetString("ph");
-    ASSERT_FALSE(ph.empty());
-    EXPECT_FALSE(ev.GetString("name").empty());
-    if (ph == "X") {
-      ++slices;
-      const JsonValue* dur = ev.Find("dur");
-      ASSERT_NE(dur, nullptr);
-      EXPECT_GE(dur->AsDouble(), 0.0);
-    } else if (ph == "s") {
-      ++flow_starts;
-    } else if (ph == "f") {
-      ++flow_ends;
-    }
+  TraceCounts counts;
+  WriteAndParse(::testing::TempDir() + "/hlrc_trace_spans.json", sys, &counts);
+  if (HasFatalFailure()) {
+    return;
   }
-  EXPECT_GT(slices, 0) << "no span slices spliced";
-  EXPECT_GT(flow_starts, 0) << "no causal flow arrows spliced";
-  EXPECT_EQ(flow_starts, flow_ends) << "unpaired flow events";
+  ASSERT_GT(counts.slices, 0);
+  EXPECT_EQ(counts.slices, static_cast<int64_t>(spans->spans().size()));
+  size_t links = 0;
+  for (const Span& s : spans->spans()) {
+    links += s.links.size();
+  }
+  ASSERT_GT(links, 0u) << "no causal links recorded";
+  EXPECT_EQ(counts.flow_starts.size(), links);
+  EXPECT_EQ(counts.flow_starts, counts.flow_ends) << "unpaired flow events";
+  for (const auto& [id, n] : counts.flow_starts) {
+    EXPECT_EQ(n, 1) << "flow id " << id << " reused";
+  }
+  const Sampler& sampler = metrics->sampler();
+  ASSERT_GT(counts.counters, 0);
+  EXPECT_EQ(counts.counters,
+            static_cast<int64_t>(sampler.series().size() * sampler.samples().size()));
+  EXPECT_EQ(counts.other, 0) << "the trace holds only slices, flows and counters";
 }
 
-TEST(TraceIntegration, ChromeJsonDumpIsWellFormedEnough) {
-  SimConfig cfg = testing::SmallConfig(ProtocolKind::kLrc, 2);
-  System sys(cfg);
-  TraceLog* trace = sys.EnableTracing(256);
-  const GlobalAddr addr = sys.space().AllocPageAligned(1024);
-  sys.Run([&](NodeContext& ctx) -> Task<void> {
-    if (ctx.id() == 0) {
-      co_await ctx.Write(addr, 8);
-      *ctx.Ptr<int64_t>(addr) = 1;
-    }
-    co_await ctx.Barrier(0);
-    co_await ctx.Read(addr, 8);
-  });
+TEST(ChromeTrace, RunWithoutSpansStillStrictParses) {
+  // Spans are on, but the program never blocks: no span is recorded, and
+  // the counter tracks alone must form a well-formed array.
+  System sys(testing::SmallConfig(ProtocolKind::kLrc, 2));
+  sys.EnableMetrics(Micros(100));
+  sys.EnableSpans();
+  sys.Run([](NodeContext& ctx) -> Task<void> { co_await ctx.Compute(Micros(500)); });
+  ASSERT_TRUE(sys.spans()->spans().empty());
 
-  const std::string path = ::testing::TempDir() + "/hlrc_trace.json";
-  trace->DumpChromeJson(path);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(buf, n);
+  TraceCounts counts;
+  WriteAndParse(::testing::TempDir() + "/hlrc_trace_nospans.json", sys, &counts);
+  if (HasFatalFailure()) {
+    return;
   }
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(content.front(), '[');
-  EXPECT_NE(content.find("\"name\":\"barrier-enter\""), std::string::npos);
-  EXPECT_NE(content.find("\"tid\":1"), std::string::npos);
-  EXPECT_EQ(content[content.size() - 2], ']');
+  EXPECT_EQ(counts.slices, 0);
+  EXPECT_TRUE(counts.flow_starts.empty());
+  EXPECT_GT(counts.counters, 0);
+  EXPECT_EQ(counts.other, 0);
+}
+
+TEST(ChromeTrace, UnwritablePathReturnsError) {
+  System sys(testing::SmallConfig(ProtocolKind::kHlrc, 2));
+  sys.EnableMetrics();
+  sys.EnableSpans();
+  sys.Run([](NodeContext& ctx) -> Task<void> { co_await ctx.Barrier(0); });
+
+  std::string err;
+  const std::string missing_dir = ::testing::TempDir() + "/hlrc-no-such-dir/trace.json";
+  EXPECT_FALSE(WriteChromeTrace(missing_dir, *sys.spans(), sys.metrics()->sampler(), &err));
+  EXPECT_NE(err.find(missing_dir), std::string::npos) << err;
+
+  // A device that accepts the open but fails the write: the failure must
+  // surface from the buffered write or the close, not be lost.
+  if (access("/dev/full", W_OK) == 0) {
+    err.clear();
+    EXPECT_FALSE(WriteChromeTrace("/dev/full", *sys.spans(), sys.metrics()->sampler(), &err));
+    EXPECT_FALSE(err.empty());
+  }
 }
 
 }  // namespace

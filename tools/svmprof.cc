@@ -3,14 +3,28 @@
 // Reads the versioned "hlrc-run-summary" JSON that `svmsim --metrics-out=`
 // writes (schema: docs/OBSERVABILITY.md) and renders it for humans: run
 // configuration, per-phase time breakdown, latency percentile tables, the
-// hottest shared pages, and the traffic totals. Every file is validated
-// against the schema on load; a malformed or schema-violating file is a
+// hottest shared pages, and the traffic totals.
+//
+// The critpath and slowest commands read the file's causal span section and
+// answer the question flat counters cannot: *what was each blocked operation
+// actually waiting for?* Every page fault, lock acquire and barrier is a root
+// span whose causal descendants — wire time, send queueing, retransmit
+// stretches, home service, diff creation/application — are swept to
+// attribute the root's wait, category by category, with the residue counted
+// as protocol bookkeeping. The per-root categories sum exactly to the root's
+// duration.
+//
+// Every file is validated on load: against the run-summary schema and, when
+// it has a span section, for span-DAG well-formedness. A malformed file is a
 // hard error so CI can use `svmprof --check` as a smoke gate.
 //
-//   svmprof run.json                  full report
-//   svmprof run.json --top=40         widen the hot-page table
-//   svmprof --check run.json          validate only (exit 0/1)
-//   svmprof --diff a.json b.json      A/B comparison with percent deltas
+//   svmprof run.json                       full report
+//   svmprof run.json --top=40              widen the hot-page table
+//   svmprof critpath run.json [--per-page] per-category / per-kind rollups
+//   svmprof slowest run.json --top=10      slowest root operations
+//   svmprof --check run.json               validate only (exit 0/1)
+//   svmprof --diff a.json b.json           A/B comparison with percent deltas
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +35,9 @@
 #include "src/common/table.h"
 #include "src/metrics/json.h"
 #include "src/metrics/run_summary_schema.h"
+#include "src/tracing/critpath.h"
+#include "src/tracing/span.h"
+#include "src/tracing/span_check.h"
 
 namespace hlrc {
 namespace {
@@ -29,12 +46,19 @@ const ToolInfo kTool = {
     "svmprof",
     "Renders svmsim \"hlrc-run-summary\" JSON files for humans: run\n"
     "configuration, per-phase time breakdown, latency percentiles, hot\n"
-    "pages and traffic totals. Files are schema-validated on load.",
-    "  --top=N               widen the hot-page table (default 20)\n"
-    "  --check               validate only (exit 0/1), no report\n"
-    "  --diff                compare two runs with percent deltas; exits 2\n"
-    "                        when either input fails schema validation\n",
-    "RUN.json [flags] | --check RUN.json | --diff A.json B.json",
+    "pages and traffic totals. critpath and slowest attribute each blocked\n"
+    "operation's wait (page faults, lock acquires, barriers) across the\n"
+    "run's causal span DAG: wire time, queueing, retransmits, home service,\n"
+    "diff work, bookkeeping, compute. Files are validated on load.",
+    "  --top=N               rows in the hot-page table (default 20) or in\n"
+    "                        the slowest / per-page tables (default 10)\n"
+    "  --per-page            critpath: include the per-page fault table\n"
+    "  --check               validate only (schema, plus span-DAG shape when\n"
+    "                        the file has spans), exit 0/1\n"
+    "  --diff                compare two runs with percent deltas (and their\n"
+    "                        attributions when both have spans); exits 2\n"
+    "                        when either input fails validation\n",
+    "[critpath | slowest] RUN.json [flags] | --check RUN.json | --diff A.json B.json",
 };
 
 bool ReadFile(const std::string& path, std::string* out, std::string* err) {
@@ -57,29 +81,50 @@ bool ReadFile(const std::string& path, std::string* out, std::string* err) {
   return ok;
 }
 
-// Loads, parses, and schema-validates one run summary. Exits with
-// `fail_exit` on failure so every code path downstream can assume a
-// well-formed document. --diff passes 2: an invalid input there is a bad
-// invocation, not a run-quality finding.
-JsonValue LoadSummary(const std::string& path, int fail_exit = 1) {
+struct Run {
+  JsonValue doc;
+  bool has_spans = false;
+  std::vector<Span> spans;
+  int64_t dropped = 0;  // Spans dropped at tracer capacity.
+};
+
+// Loads, parses, and schema-validates one run summary; when it has a span
+// section (or `need_spans`, which makes a missing one an error), also
+// extracts and DAG-checks the spans. Exits with `fail_exit` on failure so
+// every code path downstream can assume a well-formed document. --diff
+// passes 2: an invalid input there is a bad invocation, not a run-quality
+// finding.
+Run Load(const std::string& path, bool need_spans, int fail_exit = 1) {
   std::string text, err;
   if (!ReadFile(path, &text, &err)) {
     std::fprintf(stderr, "svmprof: %s\n", err.c_str());
     std::exit(fail_exit);
   }
-  JsonValue v;
-  if (!ParseJson(text, &v, &err)) {
+  Run run;
+  if (!ParseJson(text, &run.doc, &err)) {
     std::fprintf(stderr, "svmprof: %s: JSON parse error: %s\n", path.c_str(), err.c_str());
     std::exit(fail_exit);
   }
-  if (!ValidateRunSummary(v, &err)) {
+  if (!ValidateRunSummary(run.doc, &err)) {
     std::fprintf(stderr, "svmprof: %s: schema violation: %s\n", path.c_str(), err.c_str());
     std::exit(fail_exit);
   }
-  return v;
+  run.has_spans = need_spans || run.doc.Find("spans") != nullptr;
+  if (run.has_spans) {
+    if (!ParseSpans(run.doc, &run.spans, &run.dropped, &err)) {
+      std::fprintf(stderr, "svmprof: %s: %s\n", path.c_str(), err.c_str());
+      std::exit(fail_exit);
+    }
+    if (!CheckSpanDag(run.spans, &err)) {
+      std::fprintf(stderr, "svmprof: %s: span DAG violation: %s\n", path.c_str(), err.c_str());
+      std::exit(fail_exit);
+    }
+  }
+  return run;
 }
 
 double NsToUs(double ns) { return ns / 1000.0; }
+double NsToMs(double ns) { return ns / 1e6; }
 double NsToS(double ns) { return ns / 1e9; }
 
 std::string Pct(double part, double whole) {
@@ -87,6 +132,17 @@ std::string Pct(double part, double whole) {
     return "-";
   }
   return Table::Fmt(100.0 * part / whole, 1) + "%";
+}
+
+std::string Delta(double a, double b) {
+  if (a == 0.0 && b == 0.0) {
+    return "-";
+  }
+  if (a == 0.0) {
+    return "new";
+  }
+  const double pct = 100.0 * (b - a) / a;
+  return (pct >= 0 ? "+" : "") + Table::Fmt(pct, 1) + "%";
 }
 
 // Average over the per_node array of one int field, in ns.
@@ -101,6 +157,9 @@ double PerNodeAvg(const JsonValue& run, const char* field) {
   }
   return sum / static_cast<double>(per_node->arr.size());
 }
+
+// ---------------------------------------------------------------------------
+// Report.
 
 void PrintHeader(const JsonValue& run) {
   const JsonValue* cfg = run.Find("config");
@@ -217,33 +276,185 @@ void PrintTimeseries(const JsonValue& run) {
 }
 
 int Report(const std::string& path, int64_t top) {
-  const JsonValue run = LoadSummary(path);
-  PrintHeader(run);
-  PrintPhases(run);
-  PrintHistograms(run);
-  PrintHotPages(run, top);
-  PrintTraffic(run);
-  PrintTimeseries(run);
+  const Run run = Load(path, /*need_spans=*/false);
+  PrintHeader(run.doc);
+  PrintPhases(run.doc);
+  PrintHistograms(run.doc);
+  PrintHotPages(run.doc, top);
+  PrintTraffic(run.doc);
+  PrintTimeseries(run.doc);
   return 0;
 }
 
 // ---------------------------------------------------------------------------
-// A/B diff.
+// Critical-path attribution over the span DAG.
 
-std::string Delta(double a, double b) {
-  if (a == 0.0 && b == 0.0) {
-    return "-";
+int64_t CountRoots(const std::vector<Span>& spans) {
+  int64_t roots = 0;
+  for (const Span& s : spans) {
+    if (RootKindIndex(s.kind) >= 0) {
+      ++roots;
+    }
   }
-  if (a == 0.0) {
-    return "new";
+  return roots;
+}
+
+void PrintSpanHeader(const Run& run, const std::string& path) {
+  const JsonValue* cfg = run.doc.Find("config");
+  std::printf("%s: %s under %s on %lld nodes — %zu spans (%lld blocking roots",
+              path.c_str(), cfg->GetString("app").c_str(), cfg->GetString("protocol").c_str(),
+              static_cast<long long>(cfg->GetInt("nodes")), run.spans.size(),
+              static_cast<long long>(CountRoots(run.spans)));
+  if (run.dropped > 0) {
+    std::printf(", %lld dropped at capacity", static_cast<long long>(run.dropped));
   }
-  const double pct = 100.0 * (b - a) / a;
-  return (pct >= 0 ? "+" : "") + Table::Fmt(pct, 1) + "%";
+  std::printf(")\n\n");
+}
+
+int CritPath(const std::string& path, bool per_page, int64_t top) {
+  const Run run = Load(path, /*need_spans=*/true);
+  PrintSpanHeader(run, path);
+  const CritPathSummary sum = AttributeCriticalPaths(run.spans);
+  if (sum.roots.empty()) {
+    std::printf("(no blocking roots recorded)\n");
+    return 0;
+  }
+
+  Table t("Critical-path attribution (all blocking roots)");
+  t.SetHeader({"Category", "Total (ms)", "Of wait", "Fault (ms)", "Lock (ms)", "Barrier (ms)"});
+  for (size_t c = 0; c < kCritCatCount; ++c) {
+    t.AddRow({CritCatName(static_cast<CritCat>(c)),
+              Table::Fmt(NsToMs(static_cast<double>(sum.total[c])), 3),
+              Pct(static_cast<double>(sum.total[c]), static_cast<double>(sum.total_wait)),
+              Table::Fmt(NsToMs(static_cast<double>(sum.by_kind[0][c])), 3),
+              Table::Fmt(NsToMs(static_cast<double>(sum.by_kind[1][c])), 3),
+              Table::Fmt(NsToMs(static_cast<double>(sum.by_kind[2][c])), 3)});
+  }
+  t.AddSeparator();
+  SimTime fault_wait = 0, lock_wait = 0, barrier_wait = 0;
+  for (size_t c = 0; c < kCritCatCount; ++c) {
+    fault_wait += sum.by_kind[0][c];
+    lock_wait += sum.by_kind[1][c];
+    barrier_wait += sum.by_kind[2][c];
+  }
+  t.AddRow({"total wait", Table::Fmt(NsToMs(static_cast<double>(sum.total_wait)), 3), "100%",
+            Table::Fmt(NsToMs(static_cast<double>(fault_wait)), 3),
+            Table::Fmt(NsToMs(static_cast<double>(lock_wait)), 3),
+            Table::Fmt(NsToMs(static_cast<double>(barrier_wait)), 3)});
+  t.Print();
+  std::printf("\n");
+
+  if (per_page) {
+    // Pages ordered by total fault wait, widest first.
+    std::vector<std::pair<int64_t, SimTime>> pages(sum.page_wait.begin(), sum.page_wait.end());
+    std::sort(pages.begin(), pages.end(),
+              [](const auto& a, const auto& b) { return a.second > b.second; });
+    Table p("Per-page fault wait");
+    p.SetHeader({"Page", "Wait (ms)", "Wire", "Queue", "Retx", "HomeSvc", "DiffC", "DiffA",
+                 "Bookkeep"});
+    int64_t shown = 0;
+    for (const auto& [page, wait] : pages) {
+      if (shown++ >= top) {
+        break;
+      }
+      const CatTimes& c = sum.by_page.at(page);
+      auto pc = [&](CritCat cat) {
+        return Pct(static_cast<double>(c[static_cast<size_t>(cat)]), static_cast<double>(wait));
+      };
+      p.AddRow({Table::Fmt(page), Table::Fmt(NsToMs(static_cast<double>(wait)), 3),
+                pc(CritCat::kWire), pc(CritCat::kQueueing), pc(CritCat::kRetransmit),
+                pc(CritCat::kHomeService), pc(CritCat::kDiffCreate), pc(CritCat::kDiffApply),
+                pc(CritCat::kBookkeeping)});
+    }
+    p.Print();
+    if (static_cast<int64_t>(pages.size()) > top) {
+      std::printf("(%lld more pages; raise --top)\n",
+                  static_cast<long long>(static_cast<int64_t>(pages.size()) - top));
+    }
+    std::printf("\n");
+  }
+  return 0;
+}
+
+int Slowest(const std::string& path, int64_t top) {
+  const Run run = Load(path, /*need_spans=*/true);
+  PrintSpanHeader(run, path);
+  CritPathSummary sum = AttributeCriticalPaths(run.spans);
+  std::sort(sum.roots.begin(), sum.roots.end(), [](const RootAttribution& a,
+                                                   const RootAttribution& b) {
+    return (a.t1 - a.t0) != (b.t1 - b.t0) ? (a.t1 - a.t0) > (b.t1 - b.t0) : a.id < b.id;
+  });
+  Table t("Slowest blocking operations");
+  t.SetHeader({"Span", "Kind", "Node", "Arg", "Start (ms)", "Wait (us)", "Top category"});
+  int64_t shown = 0;
+  for (const RootAttribution& r : sum.roots) {
+    if (shown++ >= top) {
+      break;
+    }
+    size_t best = static_cast<size_t>(CritCat::kBookkeeping);
+    for (size_t c = 0; c < kCritCatCount; ++c) {
+      if (r.by_cat[c] > r.by_cat[best]) {
+        best = c;
+      }
+    }
+    const SimTime wait = r.t1 - r.t0;
+    t.AddRow({Table::Fmt(r.id), SpanKindName(r.kind), Table::Fmt(static_cast<int64_t>(r.node)),
+              Table::Fmt(r.a0), Table::Fmt(NsToMs(static_cast<double>(r.t0)), 3),
+              Table::Fmt(NsToUs(static_cast<double>(wait)), 1),
+              std::string(CritCatName(static_cast<CritCat>(best))) + " (" +
+                  Pct(static_cast<double>(r.by_cat[best]), static_cast<double>(wait)) + ")"});
+  }
+  t.Print();
+  if (static_cast<int64_t>(sum.roots.size()) > top) {
+    std::printf("(%lld more roots; raise --top)\n",
+                static_cast<long long>(static_cast<int64_t>(sum.roots.size()) - top));
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// Validation and A/B diff.
+
+int Check(const std::string& path) {
+  const Run run = Load(path, /*need_spans=*/false);  // Exits nonzero on any violation.
+  std::printf("%s: OK (schema %s v%d", path.c_str(), kRunSummarySchemaName,
+              kRunSummarySchemaVersion);
+  if (run.has_spans) {
+    std::printf("; %s v%d: %zu spans, %lld blocking roots, %lld dropped", kSpansSchemaName,
+                kSpansSchemaVersion, run.spans.size(),
+                static_cast<long long>(CountRoots(run.spans)),
+                static_cast<long long>(run.dropped));
+  }
+  std::printf(")\n");
+  return 0;
+}
+
+void PrintCritPathDiff(const Run& a, const Run& b) {
+  const CritPathSummary sa = AttributeCriticalPaths(a.spans);
+  const CritPathSummary sb = AttributeCriticalPaths(b.spans);
+  Table t("Critical-path comparison (B vs A, ms)");
+  t.SetHeader({"Category", "A", "B", "Delta"});
+  for (size_t c = 0; c < kCritCatCount; ++c) {
+    const double va = static_cast<double>(sa.total[c]);
+    const double vb = static_cast<double>(sb.total[c]);
+    t.AddRow({CritCatName(static_cast<CritCat>(c)), Table::Fmt(NsToMs(va), 3),
+              Table::Fmt(NsToMs(vb), 3), Delta(va, vb)});
+  }
+  t.AddSeparator();
+  t.AddRow({"total wait", Table::Fmt(NsToMs(static_cast<double>(sa.total_wait)), 3),
+            Table::Fmt(NsToMs(static_cast<double>(sb.total_wait)), 3),
+            Delta(static_cast<double>(sa.total_wait), static_cast<double>(sb.total_wait))});
+  t.AddRow({"blocking roots", Table::Fmt(static_cast<int64_t>(sa.roots.size())),
+            Table::Fmt(static_cast<int64_t>(sb.roots.size())),
+            Delta(static_cast<double>(sa.roots.size()), static_cast<double>(sb.roots.size()))});
+  t.Print();
 }
 
 int Diff(const std::string& path_a, const std::string& path_b) {
-  const JsonValue a = LoadSummary(path_a, /*fail_exit=*/2);
-  const JsonValue b = LoadSummary(path_b, /*fail_exit=*/2);
+  const Run run_a = Load(path_a, /*need_spans=*/false, /*fail_exit=*/2);
+  const Run run_b = Load(path_b, /*need_spans=*/false, /*fail_exit=*/2);
+  const JsonValue& a = run_a.doc;
+  const JsonValue& b = run_b.doc;
 
   const JsonValue* ca = a.Find("config");
   const JsonValue* cb = b.Find("config");
@@ -316,6 +527,10 @@ int Diff(const std::string& path_a, const std::string& path_b) {
   } else {
     std::printf("(no histogram present in both runs)\n");
   }
+  if (run_a.has_spans && run_b.has_spans) {
+    std::printf("\n");
+    PrintCritPathDiff(run_a, run_b);
+  }
   return 0;
 }
 
@@ -323,13 +538,16 @@ int Main(int argc, char** argv) {
   std::vector<std::string> positional;
   bool check_only = false;
   bool diff = false;
-  int64_t top = 20;
+  bool per_page = false;
+  int64_t top = 0;  // 0: the command's default.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--check") {
       check_only = true;
     } else if (arg == "--diff") {
       diff = true;
+    } else if (arg == "--per-page") {
+      per_page = true;
     } else if (arg.rfind("--top=", 0) == 0) {
       top = std::atoll(arg.substr(std::strlen("--top=")).c_str());
       if (top <= 0) {
@@ -349,16 +567,25 @@ int Main(int argc, char** argv) {
     }
     return Diff(positional[0], positional[1]);
   }
+  if (check_only) {
+    if (positional.size() != 1) {
+      UsageError(kTool, "--check takes exactly one run file");
+    }
+    return Check(positional[0]);
+  }
+  if (!positional.empty() && (positional[0] == "critpath" || positional[0] == "slowest")) {
+    if (positional.size() != 2) {
+      UsageError(kTool, positional[0] + " takes exactly one run file");
+    }
+    if (positional[0] == "critpath") {
+      return CritPath(positional[1], per_page, top > 0 ? top : 10);
+    }
+    return Slowest(positional[1], top > 0 ? top : 10);
+  }
   if (positional.size() != 1) {
     UsageError(kTool, "exactly one run file required");
   }
-  if (check_only) {
-    LoadSummary(positional[0]);  // Exits nonzero on parse/schema failure.
-    std::printf("%s: OK (schema %s v%d)\n", positional[0].c_str(), kRunSummarySchemaName,
-                kRunSummarySchemaVersion);
-    return 0;
-  }
-  return Report(positional[0], top);
+  return Report(positional[0], top > 0 ? top : 20);
 }
 
 }  // namespace

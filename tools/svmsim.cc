@@ -18,9 +18,9 @@
 //   --diff-policy=P       eager | lazy (homeless protocols)
 //   --gc-threshold=BYTES  homeless GC trigger (default 4 MiB)
 //   --migrate-homes       enable dynamic home migration (home-based)
-//   --trace=FILE.json     write a chrome://tracing execution trace (protocol
-//                         event timeline; distinct from a --record-trace
-//                         workload trace)
+//   --trace=FILE.json     write a chrome://tracing execution trace (causal
+//                         span slices, flow arrows and metric counter tracks;
+//                         distinct from a --record-trace workload trace)
 //   --per-node            print the per-node breakdown table
 //   --no-verify           skip result verification
 //   --verbose             print a host wall-clock summary after the report
@@ -37,8 +37,7 @@
 // Observability (docs/OBSERVABILITY.md):
 //   --metrics-out=FILE    write a versioned JSON run summary (latency
 //                         histograms, time-series samples, hot pages, causal
-//                         spans); also adds Perfetto counter tracks and span
-//                         flow events to --trace
+//                         spans)
 //   --sample-interval=US  metrics sampler period in simulated microseconds
 //                         (default 1000; implies metrics collection)
 //
@@ -73,7 +72,6 @@
 #include "src/common/table.h"
 #include "src/fuzz/coverage.h"
 #include "src/fault/fault_plan.h"
-#include "src/metrics/sampler.h"
 #include "src/svm/run_summary.h"
 #include "src/svm/system.h"
 #include "src/tracing/span.h"
@@ -130,7 +128,7 @@ const ToolInfo kTool = {
     "  --diff-policy=P       eager | lazy (homeless protocols)\n"
     "  --gc-threshold=BYTES  homeless GC trigger (default 4 MiB)\n"
     "  --migrate-homes       enable dynamic home migration (home-based)\n"
-    "  --trace=FILE.json     write a chrome://tracing execution trace (event\n"
+    "  --trace=FILE.json     write a chrome://tracing execution trace (span\n"
     "                        timeline; distinct from a workload trace)\n"
     "  --per-node            print the per-node breakdown table\n"
     "  --no-verify           skip result verification\n"
@@ -140,7 +138,7 @@ const ToolInfo kTool = {
     "                        and sync; replayable input, not a timeline)\n"
     "  --replay-trace=FILE   replay a recorded workload trace instead of an app\n"
     "  --metrics-out=FILE    write a versioned JSON run summary (includes the\n"
-    "                        causal-span section read by svmtrace)\n"
+    "                        causal-span section read by svmprof)\n"
     "  --sample-interval=US  metrics sampler period (default 1000)\n"
     "  --coverage            collect protocol-state coverage; printed after\n"
     "                        the report and exported in --metrics-out\n"
@@ -211,20 +209,29 @@ Options Parse(int argc, char** argv) {
     } else if (arg.rfind("--nodes=", 0) == 0) {
       o.nodes = std::atoi(val("--nodes=").c_str());
       o.nodes_set = true;
+      if (o.nodes <= 0) {
+        UsageError(kTool, "--nodes must be a positive integer");
+      }
     } else if (arg.rfind("--scale=", 0) == 0) {
-      const std::string s = val("--scale=");
-      o.scale = s == "tiny" ? AppScale::kTiny
-                            : (s == "paper" ? AppScale::kPaper : AppScale::kDefault);
+      if (!ParseAppScale(val("--scale="), &o.scale)) {
+        UsageError(kTool, "unknown scale '" + val("--scale=") + "'");
+      }
     } else if (arg.rfind("--page-size=", 0) == 0) {
       o.page_size = std::atoll(val("--page-size=").c_str());
       o.page_size_set = true;
+      if (o.page_size <= 0) {
+        UsageError(kTool, "--page-size must be a positive integer");
+      }
     } else if (arg.rfind("--home=", 0) == 0) {
-      const std::string s = val("--home=");
-      o.home = s == "round-robin"
-                   ? HomePolicy::kRoundRobin
-                   : (s == "single-node" ? HomePolicy::kSingleNode : HomePolicy::kBlock);
+      if (!ParseHomePolicyName(val("--home="), &o.home)) {
+        UsageError(kTool, "unknown home policy '" + val("--home=") + "'");
+      }
     } else if (arg.rfind("--diff-policy=", 0) == 0) {
-      o.diff_policy = val("--diff-policy=") == "lazy" ? DiffPolicy::kLazy : DiffPolicy::kEager;
+      const std::string s = val("--diff-policy=");
+      if (s != "eager" && s != "lazy") {
+        UsageError(kTool, "unknown diff policy '" + s + "'");
+      }
+      o.diff_policy = s == "lazy" ? DiffPolicy::kLazy : DiffPolicy::kEager;
     } else if (arg.rfind("--gc-threshold=", 0) == 0) {
       o.gc_threshold = std::atoll(val("--gc-threshold=").c_str());
     } else if (arg.rfind("--trace=", 0) == 0) {
@@ -369,11 +376,10 @@ int Main(int argc, char** argv) {
     }
   }
   System sys(cfg);
-  TraceLog* trace = o.trace_path.empty() ? nullptr : sys.EnableTracing();
   // Metrics ride along whenever a run summary is requested, and also when a
   // trace is: the Perfetto counter tracks come from the sampler. Causal spans
-  // ride along too — they feed the run summary's "spans" section (svmtrace)
-  // and the execution trace's flow events.
+  // ride along too — they feed the run summary's "spans" section (svmprof
+  // critpath) and are the execution trace's slices and flow arrows.
   Metrics* metrics = (o.metrics_path.empty() && o.trace_path.empty())
                          ? nullptr
                          : sys.EnableMetrics(o.sample_interval);
@@ -421,9 +427,7 @@ int Main(int argc, char** argv) {
   const NodeReport totals = report.Totals();
 
   std::printf("%s under %s on %d nodes (%s scale, %lld B pages, %s homes)\n",
-              app->name().c_str(), ProtocolName(o.protocol), o.nodes,
-              o.scale == AppScale::kPaper ? "paper"
-                                          : (o.scale == AppScale::kTiny ? "tiny" : "default"),
+              app->name().c_str(), ProtocolName(o.protocol), o.nodes, AppScaleName(o.scale),
               static_cast<long long>(o.page_size), HomePolicyName(o.home));
   char app_seed_str[32] = "builtin";  // No --seed: apps keep their fixed inputs.
   if (o.seed_set) {
@@ -504,23 +508,15 @@ int Main(int argc, char** argv) {
     per.Print();
   }
 
-  if (trace != nullptr) {
-    // Splice the sampler's counter tracks and the span slices/flow arrows
-    // into the execution trace.
-    std::string extra = ChromeCounterEvents(metrics->sampler());
-    if (sys.spans() != nullptr) {
-      const std::string span_events = ChromeSpanEvents(*sys.spans());
-      if (!span_events.empty()) {
-        if (!extra.empty()) {
-          extra += ",\n";
-        }
-        extra += span_events;
-      }
+  if (!o.trace_path.empty()) {
+    std::string err;
+    if (!WriteChromeTrace(o.trace_path, *sys.spans(), metrics->sampler(), &err)) {
+      std::fprintf(stderr, "trace: %s\n", err.c_str());
+      return 1;
     }
-    trace->DumpChromeJson(o.trace_path, extra);
-    std::printf("\nexecution trace written to %s (%lld events, %lld dropped)\n",
-                o.trace_path.c_str(), static_cast<long long>(trace->recorded()),
-                static_cast<long long>(trace->dropped()));
+    std::printf("\nexecution trace written to %s (%zu spans, %lld dropped at capacity)\n",
+                o.trace_path.c_str(), sys.spans()->spans().size(),
+                static_cast<long long>(sys.spans()->dropped()));
   }
   if (coverage != nullptr) {
     std::printf("\nprotocol-state coverage (%s):\n%s", ProtocolName(o.protocol),
@@ -529,8 +525,7 @@ int Main(int argc, char** argv) {
   if (!o.metrics_path.empty()) {
     RunSummaryMeta meta;
     meta.app = app->name();
-    meta.scale = o.scale == AppScale::kPaper ? "paper"
-                                             : (o.scale == AppScale::kTiny ? "tiny" : "default");
+    meta.scale = AppScaleName(o.scale);
     meta.verified = verified;
     if (coverage != nullptr) {
       meta.coverage.enabled = true;
@@ -546,7 +541,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "metrics: %s\n", err.c_str());
       return 1;
     }
-    std::printf("run summary written to %s (inspect with svmprof / svmtrace)\n",
+    std::printf("run summary written to %s (inspect with svmprof)\n",
                 o.metrics_path.c_str());
   }
   if (o.verbose) {

@@ -110,9 +110,10 @@ Flags ParseFlags(int argc, char** argv, int first) {
     } else if (arg.rfind("--protocol=", 0) == 0) {
       f.protocol = val("--protocol=");
     } else if (arg.rfind("--scale=", 0) == 0) {
-      const std::string s = val("--scale=");
-      f.scale = s == "paper" ? AppScale::kPaper
-                             : (s == "default" ? AppScale::kDefault : AppScale::kTiny);
+      if (!ParseAppScale(val("--scale="), &f.scale)) {
+        std::fprintf(stderr, "unknown scale '%s'\n", val("--scale=").c_str());
+        Usage();
+      }
     } else if (arg.rfind("--nodes=", 0) == 0) {
       f.nodes = std::atoi(val("--nodes=").c_str());
       f.nodes_set = true;
