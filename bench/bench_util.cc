@@ -1,55 +1,23 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/common/cli.h"
 #include "src/metrics/json_writer.h"
 
 namespace hlrc {
 namespace bench {
 namespace {
 
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
+// Prints `message` (when non-empty) and the usage text, then exits 2.
+[[noreturn]] void Usage(const char* argv0, const std::string& message = "") {
+  if (!message.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv0, message.c_str());
   }
-  return out;
-}
-
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") {
-    return ProtocolKind::kLrc;
-  }
-  if (s == "olrc") {
-    return ProtocolKind::kOlrc;
-  }
-  if (s == "hlrc") {
-    return ProtocolKind::kHlrc;
-  }
-  if (s == "ohlrc") {
-    return ProtocolKind::kOhlrc;
-  }
-  if (s == "erc") {
-    return ProtocolKind::kErc;
-  }
-  if (s == "aurc") {
-    return ProtocolKind::kAurc;
-  }
-  HLRC_CHECK_MSG(false, "unknown protocol '%s'", s.c_str());
-  return ProtocolKind::kLrc;
-}
-
-[[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--nodes=8,32,64] [--scale=tiny|default|paper]\n"
                "          [--apps=lu,sor,water-nsq,water-sp,raytrace]\n"
@@ -67,55 +35,74 @@ BenchOptions ParseArgs(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
+    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
+    // VALUE that does not parse prints usage and exits 2 naming the flag (an
+    // empty branch below means the matcher already stored the value).
+    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
+    auto value = [&](const char* p) { return arg.substr(std::strlen(p)); };
+    auto bad = [&](const std::string& want) { Usage(argv[0], arg + ": expected " + want); };
+    auto integer = [&](const char* p, auto* out, auto lo) {
+      if (has(p) && !ParseInt(value(p), out, lo)) {
+        bad("an integer >= " + std::to_string(lo));
+      }
+      return has(p);
     };
-    if (arg.rfind("--nodes=", 0) == 0) {
+    if (has("--nodes=")) {
       opts.node_counts.clear();
-      for (const std::string& n : Split(value("--nodes="), ',')) {
-        opts.node_counts.push_back(std::atoi(n.c_str()));
+      for (const std::string& n : SplitList(value("--nodes="))) {
+        if (!ParseInt(n, &opts.node_counts.emplace_back(), 1)) {
+          bad("a list of positive node counts");
+        }
       }
-    } else if (arg.rfind("--scale=", 0) == 0) {
+      if (opts.node_counts.empty()) {
+        bad("a list of positive node counts");
+      }
+    } else if (has("--scale=")) {
       if (!ParseAppScale(value("--scale="), &opts.scale)) {
-        Usage(argv[0]);
+        bad("tiny, default or paper");
       }
-    } else if (arg.rfind("--apps=", 0) == 0) {
-      opts.apps = Split(value("--apps="), ',');
-    } else if (arg.rfind("--protocols=", 0) == 0) {
+    } else if (has("--apps=")) {
+      opts.apps = SplitList(value("--apps="));
+      const std::vector<std::string> known = RegisteredAppNames();
+      for (const std::string& app : opts.apps) {
+        if (std::find(known.begin(), known.end(), app) == known.end()) {
+          Usage(argv[0], "unknown app '" + app + "'");
+        }
+      }
+      if (opts.apps.empty()) {
+        bad("a list of application names");
+      }
+    } else if (has("--protocols=")) {
       opts.protocols.clear();
-      for (const std::string& p : Split(value("--protocols="), ',')) {
-        opts.protocols.push_back(ParseProtocol(p));
+      if (!ParseProtocolFlags(value("--protocols="), &opts.protocols)) {
+        bad("a list of protocols: lrc | olrc | hlrc | ohlrc | erc | aurc");
       }
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      opts.page_size = std::atoll(value("--page-size=").c_str());
-    } else if (arg.rfind("--home=", 0) == 0) {
+    } else if (integer("--page-size=", &opts.page_size, 1)) {
+    } else if (has("--home=")) {
       if (!ParseHomePolicyName(value("--home="), &opts.home_policy)) {
-        Usage(argv[0]);
+        bad("block, round-robin or single-node");
       }
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      opts.fault_drop = std::atof(value("--fault-drop=").c_str());
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      opts.fault_seed = static_cast<uint64_t>(
-          std::strtoull(value("--fault-seed=").c_str(), nullptr, 10));
-    } else if (arg.rfind("--json=", 0) == 0) {
+    } else if (has("--fault-drop=")) {
+      if (!ParseProbability(value("--fault-drop="), &opts.fault_drop)) {
+        bad("a probability in [0, 1]");
+      }
+    } else if (integer("--fault-seed=", &opts.fault_seed, 0)) {
+    } else if (has("--json=")) {
       opts.json_out = value("--json=");
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opts.jobs = std::atoi(value("--jobs=").c_str());
+    } else if (integer("--jobs=", &opts.jobs, 0)) {
     } else if (arg == "--causal") {
       opts.causal = true;
     } else if (arg == "--reliable") {
       opts.reliable = true;
     } else if (arg == "--coalesce") {
       opts.coalesce = true;
-    } else if (arg.rfind("--barrier-arity=", 0) == 0) {
-      opts.barrier_arity = std::atoi(value("--barrier-arity=").c_str());
+    } else if (integer("--barrier-arity=", &opts.barrier_arity, 0)) {
     } else if (arg == "--no-verify") {
       opts.verify = false;
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage(argv[0]);
+      Usage(argv[0], "unknown flag: " + arg);
     }
   }
   if (opts.apps.empty()) {
@@ -139,11 +126,7 @@ SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes) {
   if (opts.reliable) {
     cfg.reliability.enabled = true;
   }
-  if (opts.coalesce) {
-    cfg.network.coalesce = true;
-    cfg.protocol.coalesce = true;
-    cfg.reliability.piggyback_acks = cfg.reliability.enabled;
-  }
+  cfg.network.coalesce = opts.coalesce;
   cfg.protocol.barrier_arity = opts.barrier_arity;
   return cfg;
 }

@@ -32,8 +32,9 @@ struct BenchOptions {
   // on a clean fabric, the baseline the coalesced wire plane is measured
   // against (table5_traffic --coalesce).
   bool reliable = false;
-  // Coalesced wire plane (--coalesce) + combining barrier tree
-  // (--barrier-arity=N). Piggybacked acks engage when reliability is on.
+  // Coalesced wire plane (--coalesce, NetworkConfig::coalesce) + combining
+  // barrier tree (--barrier-arity=N). Piggybacked acks engage when
+  // reliability is on.
   bool coalesce = false;
   int barrier_arity = 0;
   // Worker threads for benchmarks that fan data points out through
@@ -52,7 +53,7 @@ struct BenchOptions {
 
 // Parses --nodes=8,32,64 --scale=tiny|default|paper --apps=lu,sor
 // --protocols=lrc,hlrc --page-size=4096 --fault-drop=0.01 --fault-seed=7.
-// Unknown flags abort with usage.
+// Unknown flags and malformed values print usage and exit 2.
 BenchOptions ParseArgs(int argc, char** argv);
 
 SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes);

@@ -1,17 +1,7 @@
 // Reproduces paper Table 3: costs of basic operations on the (simulated)
 // Paragon, plus the derived minimum page-miss and lock-acquire costs from
-// §4.3. Additionally uses google-benchmark to measure the *real* twin and
-// diff create/apply kernels on this host, for comparison with the modelled
-// costs.
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <cstring>
-#include <vector>
-
-#include "src/common/rng.h"
+// §4.3. Host speed is measured end to end by perfbench/, not here.
 #include "src/common/table.h"
-#include "src/mem/diff.h"
 #include "src/net/network.h"
 #include "src/proto/cost_model.h"
 
@@ -59,61 +49,12 @@ void PrintModelTables() {
   t3b.AddRow({"Remote lock acquire (co-processor, hypothetical)", Table::Fmt(3 * lat, 0),
               "150"});
   t3b.Print();
-  std::printf("\n--- Real host kernel timings (google-benchmark) ---\n");
 }
-
-// ---------------------------------------------------------------------------
-// Real kernel micro-benchmarks on the host.
-
-void BM_TwinCopy(benchmark::State& state) {
-  std::vector<std::byte> src(kPage, std::byte{1});
-  std::vector<std::byte> dst(kPage);
-  for (auto _ : state) {
-    std::memcpy(dst.data(), src.data(), kPage);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPage);
-}
-BENCHMARK(BM_TwinCopy);
-
-void BM_DiffCreate(benchmark::State& state) {
-  const int64_t dirty_words = state.range(0);
-  std::vector<std::byte> twin(kPage, std::byte{0});
-  std::vector<std::byte> cur = twin;
-  Rng rng(7);
-  for (int64_t i = 0; i < dirty_words; ++i) {
-    cur[rng.NextBounded(kPage / 8) * 8] = std::byte{0xff};
-  }
-  for (auto _ : state) {
-    Diff d = CreateDiff(0, twin.data(), cur.data(), kPage, 8);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_DiffCreate)->Arg(0)->Arg(16)->Arg(256)->Arg(1024);
-
-void BM_DiffApply(benchmark::State& state) {
-  const int64_t dirty_words = state.range(0);
-  std::vector<std::byte> twin(kPage, std::byte{0});
-  std::vector<std::byte> cur = twin;
-  Rng rng(7);
-  for (int64_t i = 0; i < dirty_words; ++i) {
-    cur[rng.NextBounded(kPage / 8) * 8] = std::byte{0xff};
-  }
-  const Diff d = CreateDiff(0, twin.data(), cur.data(), kPage, 8);
-  std::vector<std::byte> target = twin;
-  for (auto _ : state) {
-    ApplyDiff(d, target.data(), kPage);
-    benchmark::DoNotOptimize(target.data());
-  }
-}
-BENCHMARK(BM_DiffApply)->Arg(16)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace hlrc
 
-int main(int argc, char** argv) {
+int main() {
   hlrc::PrintModelTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -77,11 +77,7 @@ CheckResult RunOne(const CheckConfig& config) {
     sim.fault.seed = Rng(config.seed).NextU64();
   }
   sim.reliability = config.reliability;
-  if (config.coalesce) {
-    sim.network.coalesce = true;
-    sim.protocol.coalesce = true;
-    sim.reliability.piggyback_acks = sim.reliability.enabled;
-  }
+  sim.network.coalesce = config.coalesce;
   sim.protocol.barrier_arity = config.barrier_arity;
 
   LitmusConfig lcfg;
@@ -121,21 +117,28 @@ CheckResult RunOne(const CheckConfig& config) {
 
 SweepResult Sweep(const CheckConfig& base, uint64_t first_seed, int seeds,
                   const std::function<void(uint64_t, const CheckResult&)>& on_failure,
-                  int jobs) {
+                  int jobs, bool stop_on_failure) {
   SweepResult sweep;
   if (seeds <= 0) {
     return sweep;
   }
-  const std::vector<CheckResult> results = ParallelMap<CheckResult>(
-      seeds, jobs, [&base, first_seed](int i) {
-        CheckConfig cfg = base;
-        cfg.seed = first_seed + static_cast<uint64_t>(i);
-        return RunOne(cfg);
-      });
+  auto run = [&base, first_seed](int i) {
+    CheckConfig cfg = base;
+    cfg.seed = first_seed + static_cast<uint64_t>(i);
+    return RunOne(cfg);
+  };
+  std::vector<CheckResult> results;
+  if (jobs <= 1 && stop_on_failure) {
+    for (int i = 0; i < seeds && (results.empty() || results.back().ok); ++i) {
+      results.push_back(run(i));
+    }
+  } else {
+    results = ParallelMap<CheckResult>(seeds, jobs, run);
+  }
   // Aggregation (and failure reporting) walks results in seed order, so the
   // outcome is byte-identical to the historical serial loop.
-  for (int i = 0; i < seeds; ++i) {
-    const CheckResult& r = results[static_cast<size_t>(i)];
+  for (size_t i = 0; i < results.size(); ++i) {
+    const CheckResult& r = results[i];
     const uint64_t seed = first_seed + static_cast<uint64_t>(i);
     ++sweep.runs;
     sweep.reads_checked += r.reads_checked;
@@ -148,6 +151,9 @@ SweepResult Sweep(const CheckConfig& base, uint64_t first_seed, int seeds,
       }
       if (on_failure) {
         on_failure(seed, r);
+      }
+      if (stop_on_failure) {
+        break;
       }
     }
   }

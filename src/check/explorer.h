@@ -60,9 +60,10 @@ struct CheckConfig {
   ReliabilityConfig reliability;
   TestMutation mutation = TestMutation::kNone;
 
-  // Coalesced wire plane (frame packing + request combining; piggybacked
-  // acks whenever reliability is enabled too) and the combining barrier
-  // tree, so sweeps can hammer the coalesced paths with the same chaos.
+  // Coalesced wire plane (NetworkConfig::coalesce: frame packing, request
+  // combining, and piggybacked acks whenever reliability is enabled too) and
+  // the combining barrier tree, so sweeps can hammer the coalesced paths
+  // with the same chaos.
   bool coalesce = false;
   int barrier_arity = 0;
 
@@ -108,9 +109,11 @@ struct SweepResult {
 // `jobs` > 1 runs the seeds on that many worker threads (src/sim/sweep.h);
 // every RunOne is an isolated System, so the aggregated result — and the
 // order of on_failure callbacks — is identical at any job count.
+// `stop_on_failure` ends the sweep at its first failing seed: on one job the
+// later seeds never run; in parallel they run and the aggregation truncates.
 SweepResult Sweep(const CheckConfig& base, uint64_t first_seed, int seeds,
                   const std::function<void(uint64_t, const CheckResult&)>& on_failure = {},
-                  int jobs = 1);
+                  int jobs = 1, bool stop_on_failure = false);
 
 // Shrinks a failing run to the shortest chaos-decision prefix that still
 // fails (binary search on decision_limit; a mutation-induced failure that

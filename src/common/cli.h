@@ -1,18 +1,59 @@
-// Shared CLI plumbing for the svm* tools.
+// Shared CLI vocabulary for the svm* tools and the bench binaries.
 //
-// Every tool owns its flag grammar; what they share is the frame around it:
-// one usage formatter (so --help, usage errors and the docs all show the same
-// text), a common --help/--version handler, and one version string for the
-// whole toolbox. Tools describe themselves with a ToolInfo and route
-// unrecognized or malformed flags through UsageError, which exits 2 — the
-// conventional "bad invocation" status tests pin.
+// Every tool owns its flag grammar: which flags it takes and what they mean.
+// What the tools share is the vocabulary inside the flags and the frame
+// around them:
+//  * value parsers — comma lists, checked integers, reals and probabilities
+//    — so every command line accepts and rejects the same spellings (enum
+//    names parse through the name tables next to each enum, e.g.
+//    src/proto/options.h). The parsers only report success; each caller
+//    turns a failure into its own usage error;
+//  * one usage formatter (so --help, usage errors and the docs all show the
+//    same text), a common --help/--version handler, and one version string
+//    for the whole toolbox. Tools describe themselves with a ToolInfo and
+//    route unrecognized or malformed flags through UsageError, which exits 2
+//    — the conventional "bad invocation" status tests pin.
 #ifndef SRC_COMMON_CLI_H_
 #define SRC_COMMON_CLI_H_
 
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <vector>
+
+#include "src/common/types.h"
 
 namespace hlrc {
+
+// Splits a comma-separated list. Empty items are skipped: "a,,b" is
+// {"a", "b"} and "" is {}.
+std::vector<std::string> SplitList(const std::string& s);
+
+// Checked value parsers. Each reads all of `s` and stores into *out only on
+// success: empty, non-numeric and trailing-junk text fails (there is no size
+// suffix grammar, so "64k" is an error, not 64), and so does a value outside
+// [lo, hi]. Integers are plain decimal; a '-' never wraps into an unsigned.
+template <typename Int>
+bool ParseInt(const std::string& s, Int* out,
+              std::type_identity_t<Int> lo = std::numeric_limits<Int>::min(),
+              std::type_identity_t<Int> hi = std::numeric_limits<Int>::max()) {
+  Int v{};
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || stop != end || v < lo || v > hi) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+bool ParseReal(const std::string& s, double* out, double lo, double hi);
+// A probability: a real in [0, 1].
+bool ParseProbability(const std::string& s, double* out);
+// A duration in whole microseconds, at least `lo_us` and small enough that
+// its nanosecond SimTime does not overflow.
+bool ParseMicros(const std::string& s, SimTime* out, int64_t lo_us);
 
 struct ToolInfo {
   const char* name;     // "svmcheck"

@@ -1,7 +1,9 @@
 #include "src/fault/fault_plan.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "src/common/cli.h"
 
 namespace hlrc {
 
@@ -10,29 +12,19 @@ namespace {
 // Parses a comma-separated node-id list. Empty input yields an empty group.
 bool ParseGroup(const std::string& s, std::vector<NodeId>* out, std::string* error) {
   out->clear();
-  size_t start = 0;
-  while (start < s.size()) {
-    size_t end = s.find(',', start);
-    if (end == std::string::npos) {
-      end = s.size();
-    }
-    const std::string tok = s.substr(start, end - start);
-    char* rest = nullptr;
-    const long v = std::strtol(tok.c_str(), &rest, 10);
-    if (tok.empty() || rest == nullptr || *rest != '\0' || v < 0) {
+  for (const std::string& tok : SplitList(s)) {
+    if (!ParseInt(tok, &out->emplace_back(), 0)) {
       *error = "bad node id '" + tok + "'";
       return false;
     }
-    out->push_back(static_cast<NodeId>(v));
-    start = end + 1;
   }
   return true;
 }
 
 bool ParseMillis(const std::string& s, SimTime* out, std::string* error) {
-  char* rest = nullptr;
-  const double ms = std::strtod(s.c_str(), &rest);
-  if (s.empty() || rest == nullptr || *rest != '\0' || ms < 0) {
+  double ms = 0;
+  // The upper bound keeps the nanosecond conversion inside SimTime.
+  if (!ParseReal(s, &ms, 0, static_cast<double>(std::numeric_limits<SimTime>::max()) / 1e6)) {
     *error = "bad time '" + s + "' (expected milliseconds)";
     return false;
   }

@@ -13,26 +13,6 @@ using wkld::Record;
 
 constexpr const char* kMagic = "hlrc-svmfuzz-repro v1";
 
-bool ParseProtocolName(const std::string& s, ProtocolKind* out) {
-  for (int k = 0; k <= static_cast<int>(ProtocolKind::kAurc); ++k) {
-    if (s == ProtocolName(static_cast<ProtocolKind>(k))) {
-      *out = static_cast<ProtocolKind>(k);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseMutationName(const std::string& s, TestMutation* out) {
-  for (int m = 0; m <= static_cast<int>(TestMutation::kLrcSkipInvalidate); ++m) {
-    if (s == TestMutationName(static_cast<TestMutation>(m))) {
-      *out = static_cast<TestMutation>(m);
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Fail(std::string* error, const std::string& why) {
   if (error != nullptr) {
     *error = "repro parse: " + why;
@@ -162,7 +142,7 @@ bool ParseRepro(const std::string& text, ReproFile* out, std::string* error) {
       }
     } else if (key == "mutation") {
       std::string v;
-      if (!(ls >> v) || !ParseMutationName(v, &c.mutation)) {
+      if (!(ls >> v) || !ParseTestMutationName(v, &c.mutation)) {
         return Fail(error, "unknown mutation on line " + std::to_string(lineno));
       }
     } else if (key == "home-policy") {

@@ -81,7 +81,7 @@ void Network::EnableReliableDelivery(const ReliabilityConfig& config) {
   HLRC_CHECK(config.retry_timeout > 0);
   HLRC_CHECK(config.retry_backoff >= 1.0);
   HLRC_CHECK(config.max_retries >= 0);
-  if (config.piggyback_acks) {
+  if (config_.coalesce) {
     HLRC_CHECK_MSG(config.ack_delay > 0 && config.ack_delay < config.retry_timeout,
                    "piggyback ack_delay must be positive and below retry_timeout, or "
                    "deferred acks would trigger spurious retransmissions");
@@ -136,21 +136,7 @@ void Network::SubmitOne(Message msg) {
     channel_->SubmitData(std::move(msg));
     return;
   }
-  auto frame = std::make_shared<WireFrame>();
-  frame->src = msg.src;
-  frame->dst = msg.dst;
-  frame->type = msg.type;
-  frame->update_bytes = msg.update_bytes;
-  frame->protocol_bytes = msg.protocol_bytes;
-  if (msg.type == MsgType::kBundle) {
-    const auto* bundle = static_cast<const BundlePayload*>(msg.payload.get());
-    frame->part_types.reserve(bundle->parts.size());
-    for (const Message& part : bundle->parts) {
-      frame->part_types.push_back(part.type);
-    }
-  }
-  frame->msg = std::make_shared<Message>(std::move(msg));
-  Transmit(frame, /*retransmit=*/false);
+  Transmit(MakeDataFrame(std::move(msg)), /*retransmit=*/false);
 }
 
 void Network::EnqueueCoalesced(Message msg) {
@@ -391,20 +377,7 @@ void Network::DeliverToHandler(Message msg) {
 TrafficStats Network::TotalStats() const {
   TrafficStats total;
   for (const TrafficStats& s : stats_) {
-    total.msgs_sent += s.msgs_sent;
-    total.msgs_received += s.msgs_received;
-    total.update_bytes_sent += s.update_bytes_sent;
-    total.protocol_bytes_sent += s.protocol_bytes_sent;
-    total.msgs_retransmitted += s.msgs_retransmitted;
-    total.msgs_dropped_in_net += s.msgs_dropped_in_net;
-    total.msgs_duplicated_dropped += s.msgs_duplicated_dropped;
-    total.acks_sent += s.acks_sent;
-    total.frames_coalesced += s.frames_coalesced;
-    total.msgs_coalesced += s.msgs_coalesced;
-    total.acks_piggybacked += s.acks_piggybacked;
-    for (size_t i = 0; i < s.msgs_by_type.size(); ++i) {
-      total.msgs_by_type[i] += s.msgs_by_type[i];
-    }
+    total += s;
   }
   return total;
 }

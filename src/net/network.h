@@ -49,11 +49,13 @@ struct NetworkConfig {
   int64_t header_bytes = 32;
   // Model per-link occupancy along the XY route (ablation option).
   bool model_link_contention = false;
-  // Coalescing send queue (--coalesce): same-tick messages to one peer are
-  // packed into a single multi-part kBundle frame, paying one header charge
-  // plus `part_header_bytes` (a length prefix) per part. Default off: the
-  // coalesced wire plane is an opt-in ablation, and the golden summaries pin
-  // the uncoalesced traffic counts.
+  // The coalesced wire plane (--coalesce), one switch for three parts:
+  // same-tick messages to one peer are packed into a single multi-part
+  // kBundle frame (one header charge plus `part_header_bytes` per part),
+  // acks piggyback on reverse data frames when reliable delivery is on, and
+  // HLRC/AURC homes answer concurrent fetches of a page from one snapshot.
+  // Default off: the coalesced wire plane is an opt-in ablation, and the
+  // golden summaries pin the uncoalesced traffic counts.
   bool coalesce = false;
   // Per-part length prefix charged inside a bundle.
   int64_t part_header_bytes = 4;
@@ -74,17 +76,47 @@ struct TrafficStats {
   int64_t msgs_dropped_in_net = 0;     // Frames from this node lost or corrupted.
   int64_t msgs_duplicated_dropped = 0; // Duplicate arrivals this node discarded.
   int64_t acks_sent = 0;               // Standalone ack frames this node sent.
-  // Coalescing counters (zero unless NetworkConfig::coalesce /
-  // ReliabilityConfig::piggyback_acks). `msgs_sent` counts physical frames
-  // (a bundle is one frame); these record how many of those frames were
-  // bundles and how many logical messages rode inside them, so
-  // frames = msgs_sent and logical messages = msgs_sent - frames_coalesced
-  // + msgs_coalesced.
+  // Coalescing counters (zero unless NetworkConfig::coalesce). `msgs_sent`
+  // counts physical frames (a bundle is one frame); these record how many of
+  // those frames were bundles and how many logical messages rode inside
+  // them, so frames = msgs_sent and logical messages = msgs_sent -
+  // frames_coalesced + msgs_coalesced.
   int64_t frames_coalesced = 0;    // Bundle frames sent by this node.
   int64_t msgs_coalesced = 0;      // Logical messages packed into bundles.
   int64_t acks_piggybacked = 0;    // Ack seqs that rode data frames from this node.
 
   int64_t TotalBytesSent() const { return update_bytes_sent + protocol_bytes_sent; }
+
+  // Field-wise sum (Network::TotalStats, RunReport::Totals) and quotient
+  // (RunReport::Average).
+  TrafficStats& operator+=(const TrafficStats& o) {
+    return ForEachPair(o, [](int64_t& a, int64_t b) { a += b; });
+  }
+  TrafficStats& operator/=(int64_t n) {
+    return ForEachPair(*this, [n](int64_t& a, int64_t) { a /= n; });
+  }
+
+ private:
+  // Calls f(mine, theirs) for every counter: the one field list both
+  // operators share.
+  template <typename F>
+  TrafficStats& ForEachPair(const TrafficStats& o, F f) {
+    f(msgs_sent, o.msgs_sent);
+    f(msgs_received, o.msgs_received);
+    f(update_bytes_sent, o.update_bytes_sent);
+    f(protocol_bytes_sent, o.protocol_bytes_sent);
+    for (size_t i = 0; i < msgs_by_type.size(); ++i) {
+      f(msgs_by_type[i], o.msgs_by_type[i]);
+    }
+    f(msgs_retransmitted, o.msgs_retransmitted);
+    f(msgs_dropped_in_net, o.msgs_dropped_in_net);
+    f(msgs_duplicated_dropped, o.msgs_duplicated_dropped);
+    f(acks_sent, o.acks_sent);
+    f(frames_coalesced, o.frames_coalesced);
+    f(msgs_coalesced, o.msgs_coalesced);
+    f(acks_piggybacked, o.acks_piggybacked);
+    return *this;
+  }
 };
 
 class Network {

@@ -8,27 +8,13 @@
 
 namespace hlrc {
 
-ReliableChannel::ReliableChannel(Engine* engine, Network* network, ReliabilityConfig config,
-                                 int nodes)
-    : engine_(engine),
-      network_(network),
-      config_(config),
-      nodes_(nodes),
-      senders_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
-      receivers_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
-      ackers_(config_.piggyback_acks
-                  ? static_cast<size_t>(nodes) * static_cast<size_t>(nodes)
-                  : 0) {}
-
-void ReliableChannel::SubmitData(Message msg) {
-  SenderPair& sp = senders_[PairIndex(msg.src, msg.dst)];
+std::shared_ptr<WireFrame> MakeDataFrame(Message msg) {
   auto frame = std::make_shared<WireFrame>();
   frame->src = msg.src;
   frame->dst = msg.dst;
   frame->type = msg.type;
   frame->update_bytes = msg.update_bytes;
   frame->protocol_bytes = msg.protocol_bytes;
-  frame->seq = sp.next_seq++;
   if (msg.type == MsgType::kBundle) {
     const auto* bundle = static_cast<const BundlePayload*>(msg.payload.get());
     frame->part_types.reserve(bundle->parts.size());
@@ -36,17 +22,36 @@ void ReliableChannel::SubmitData(Message msg) {
       frame->part_types.push_back(part.type);
     }
   }
-  if (config_.piggyback_acks) {
+  frame->msg = std::make_shared<Message>(std::move(msg));
+  return frame;
+}
+
+ReliableChannel::ReliableChannel(Engine* engine, Network* network, ReliabilityConfig config,
+                                 int nodes)
+    : engine_(engine),
+      network_(network),
+      config_(config),
+      nodes_(nodes),
+      piggyback_(network->config().coalesce),
+      senders_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
+      receivers_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
+      ackers_(piggyback_ ? static_cast<size_t>(nodes) * static_cast<size_t>(nodes) : 0) {}
+
+void ReliableChannel::SubmitData(Message msg) {
+  std::shared_ptr<WireFrame> frame = MakeDataFrame(std::move(msg));
+  SenderPair& sp = senders_[PairIndex(frame->src, frame->dst)];
+  frame->seq = sp.next_seq++;
+  if (piggyback_) {
     // Any acks this sender owes the destination ride along: the seqs travel
     // in the data frame's header extension and stay attached across
     // retransmissions (ProcessAcks is idempotent on the receiver).
-    AckerPair& ap = ackers_[PairIndex(msg.src, msg.dst)];
+    AckerPair& ap = ackers_[PairIndex(frame->src, frame->dst)];
     if (!ap.pending.empty()) {
       frame->ack_seqs = std::move(ap.pending);
       ap.pending.clear();
       frame->protocol_bytes +=
           config_.ack_bytes * static_cast<int64_t>(frame->ack_seqs.size());
-      network_->stats_[msg.src].acks_piggybacked +=
+      network_->stats_[frame->src].acks_piggybacked +=
           static_cast<int64_t>(frame->ack_seqs.size());
       if (ap.deadline != Engine::kInvalidEvent) {
         engine_->Cancel(ap.deadline);
@@ -54,7 +59,6 @@ void ReliableChannel::SubmitData(Message msg) {
       }
     }
   }
-  frame->msg = std::make_shared<Message>(std::move(msg));
   Outstanding& o = sp.unacked[frame->seq];
   o.frame = frame;
   o.first_submit = engine_->Now();
@@ -195,7 +199,7 @@ void ReliableChannel::OnArrival(const std::shared_ptr<WireFrame>& frame) {
   // duplicate usually means the original ack was lost and the sender is still
   // retransmitting. With piggybacking the ack is merely deferred — onto the
   // next data frame to the sender, or the deadline's standalone ack.
-  if (config_.piggyback_acks) {
+  if (piggyback_) {
     QueueAck(*frame);
   } else {
     SendAck(*frame);

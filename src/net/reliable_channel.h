@@ -52,14 +52,14 @@ struct ReliabilityConfig {
   // Protocol bytes carried by an ack (sequence number); headers are added by
   // the network like any other message.
   int64_t ack_bytes = 8;
-  // Ack piggybacking (--coalesce): instead of a standalone ack frame per data
-  // arrival, owed ack seqs ride the next data frame to that peer; a deadline
-  // timer flushes a standalone (possibly multi-seq) ack when no data frame
-  // materializes in time. `ack_delay` must exceed the typical request
-  // turnaround (receive interrupt 690 us + service) so replies can carry the
-  // request's ack, while staying well below `retry_timeout`, or deferring
-  // the ack would itself trigger spurious retransmissions.
-  bool piggyback_acks = false;
+  // Ack piggybacking (on whenever NetworkConfig::coalesce is): instead of a
+  // standalone ack frame per data arrival, owed ack seqs ride the next data
+  // frame to that peer; a deadline timer flushes a standalone (possibly
+  // multi-seq) ack when no data frame materializes within `ack_delay`. It
+  // must exceed the typical request turnaround (receive interrupt 690 us +
+  // service) so replies can carry the request's ack, while staying well
+  // below `retry_timeout`, or deferring the ack would itself trigger
+  // spurious retransmissions.
   SimTime ack_delay = Micros(1500);
 };
 
@@ -88,6 +88,11 @@ struct WireFrame {
   SpanId last_wire_span = kNoSpan;
   std::shared_ptr<Message> msg;  // Null for acks.
 };
+
+// Builds the data frame that carries `msg`: its header fields, the part
+// types of a bundle, and the Message itself moved behind the frame. The
+// plain fabric and the reliable channel both submit frames made here.
+std::shared_ptr<WireFrame> MakeDataFrame(Message msg);
 
 class ReliableChannel {
  public:
@@ -121,7 +126,7 @@ class ReliableChannel {
     std::map<uint64_t, Message> held;  // Out-of-order arrivals awaiting a gap fill.
   };
   // Acks node `a` owes node `b` (for data b->a), indexed PairIndex(a, b).
-  // Only populated when config_.piggyback_acks.
+  // Only populated when piggybacking (NetworkConfig::coalesce).
   struct AckerPair {
     std::vector<uint64_t> pending;  // Seqs awaiting an ack, arrival order.
     Engine::EventId deadline = Engine::kInvalidEvent;
@@ -150,6 +155,7 @@ class ReliableChannel {
   Network* network_;
   ReliabilityConfig config_;
   int nodes_;
+  bool piggyback_;  // The network's coalesce switch, read once.
   std::vector<SenderPair> senders_;     // Indexed by PairIndex(src, dst).
   std::vector<ReceiverPair> receivers_; // Indexed by PairIndex(src, dst).
   std::vector<AckerPair> ackers_;       // Indexed by PairIndex(acker, peer).

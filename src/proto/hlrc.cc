@@ -445,12 +445,13 @@ void HlrcProtocol::ServePendingRequests(PageId page) {
     return;
   }
   auto& reqs = it->second;
-  // Request combining (--coalesce): every parked request this pass satisfies
-  // is answered from one shared immutable snapshot — the master copy cannot
-  // change between replies (we are inside one service handler), so copying it
-  // per requester is pure overhead. Off: one private copy per reply, matching
-  // the golden runs byte for byte.
-  const bool combine = env().options->coalesce;
+  // Request combining (the coalesced wire plane, NetworkConfig::coalesce):
+  // every parked request this pass satisfies is answered from one shared
+  // immutable snapshot — the master copy cannot change between replies (we
+  // are inside one service handler), so copying it per requester is pure
+  // overhead. Off: one private copy per reply, matching the golden runs byte
+  // for byte.
+  const bool combine = env().network->config().coalesce;
   PageSnapshot snapshot;
   int64_t shared_replies = 0;
   for (auto rit = reqs.begin(); rit != reqs.end();) {

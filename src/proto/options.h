@@ -4,10 +4,21 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/types.h"
 
 namespace hlrc {
+
+// Name tables: one per enum, declared next to it, one row per enumerator in
+// enumerator order. Command lines, reports and repro files all spell values
+// through them: each XName function looks a value up in its table and each
+// ParseX function is its inverse, returning false for any other spelling.
+template <typename E>
+struct EnumName {
+  E value;
+  const char* name;
+};
 
 enum class ProtocolKind : int {
   kLrc = 0,    // Homeless lazy release consistency (TreadMarks-style).
@@ -22,13 +33,32 @@ enum class ProtocolKind : int {
                // traffic (paper §2.2; simulated AU hardware).
 };
 
+// ProtocolKind has two spellings: `flag` on command lines and `name` in
+// reports and repro files.
+struct ProtocolSpelling {
+  ProtocolKind value;
+  const char* flag;
+  const char* name;
+};
+inline constexpr ProtocolSpelling kProtocolSpellings[] = {
+    {ProtocolKind::kLrc, "lrc", "LRC"},    {ProtocolKind::kOlrc, "olrc", "OLRC"},
+    {ProtocolKind::kHlrc, "hlrc", "HLRC"}, {ProtocolKind::kOhlrc, "ohlrc", "OHLRC"},
+    {ProtocolKind::kErc, "erc", "ERC"},    {ProtocolKind::kAurc, "aurc", "AURC"},
+};
+const char* ProtocolName(ProtocolKind k);  // "HLRC"
+const char* ProtocolFlag(ProtocolKind k);  // "hlrc"
+bool ParseProtocolName(const std::string& s, ProtocolKind* out);
+bool ParseProtocolFlag(const std::string& s, ProtocolKind* out);
+// A comma-separated list of flag spellings ("lrc,hlrc"), appended to *out.
+// False when the list is empty or names an unknown protocol.
+bool ParseProtocolFlags(const std::string& list, std::vector<ProtocolKind>* out);
+
 constexpr bool IsHomeBased(ProtocolKind k) {
   return k == ProtocolKind::kHlrc || k == ProtocolKind::kOhlrc || k == ProtocolKind::kAurc;
 }
 constexpr bool IsOverlapped(ProtocolKind k) {
   return k == ProtocolKind::kOlrc || k == ProtocolKind::kOhlrc;
 }
-const char* ProtocolName(ProtocolKind k);
 
 // How pages are assigned to homes (home-based protocols only).
 enum class HomePolicy : int {
@@ -37,8 +67,12 @@ enum class HomePolicy : int {
   kRoundRobin = 1,  // Page p lives on node p mod N.
   kSingleNode = 2,  // All homes on node 0 (worst case, for ablations).
 };
+inline constexpr EnumName<HomePolicy> kHomePolicyNames[] = {
+    {HomePolicy::kBlock, "block"},
+    {HomePolicy::kRoundRobin, "round-robin"},
+    {HomePolicy::kSingleNode, "single-node"},
+};
 const char* HomePolicyName(HomePolicy p);
-// Inverse of HomePolicyName; returns false for any other name.
 bool ParseHomePolicyName(const std::string& s, HomePolicy* out);
 
 // When the homeless protocols create diffs (paper §2.1: "eagerly, at the end
@@ -49,7 +83,12 @@ enum class DiffPolicy : int {
                // ever fetches, at the cost of doing the work on the request
                // path.
 };
+inline constexpr EnumName<DiffPolicy> kDiffPolicyNames[] = {
+    {DiffPolicy::kEager, "eager"},
+    {DiffPolicy::kLazy, "lazy"},
+};
 const char* DiffPolicyName(DiffPolicy p);
+bool ParseDiffPolicyName(const std::string& s, DiffPolicy* out);
 
 // Intentionally-broken protocol variants, used ONLY by the checker's
 // mutation regression tests (tests/test_check.cc, svmcheck --mutation) to
@@ -66,7 +105,13 @@ enum class TestMutation : int {
   // dropped, so the node keeps reading its stale copy (lost invalidation).
   kLrcSkipInvalidate = 2,
 };
+inline constexpr EnumName<TestMutation> kTestMutationNames[] = {
+    {TestMutation::kNone, "none"},
+    {TestMutation::kHlrcSkipDiffApply, "hlrc-skip-diff-apply"},
+    {TestMutation::kLrcSkipInvalidate, "lrc-skip-invalidate"},
+};
 const char* TestMutationName(TestMutation m);
+bool ParseTestMutationName(const std::string& s, TestMutation* out);
 
 struct ProtocolOptions {
   ProtocolKind kind = ProtocolKind::kHlrc;
@@ -88,11 +133,6 @@ struct ProtocolOptions {
   int64_t gc_threshold_bytes = 4ll << 20;
   // Diff granularity in bytes (4 or 8).
   int diff_word_bytes = 8;
-  // Coalesced wire plane (--coalesce), protocol half: request combining at
-  // the home — concurrent fetches for the same page version parked behind one
-  // in-flight request are all answered from one shared immutable snapshot.
-  // Default off: golden summaries pin the uncombined behavior.
-  bool coalesce = false;
   // Combining barrier tree (--barrier-arity=N, N >= 2): barrier enters fan in
   // and releases fan out over an N-ary tree rooted at the manager instead of
   // the flat all-to-manager pattern, so the manager NIC serializes O(arity)

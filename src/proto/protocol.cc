@@ -3,68 +3,74 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/cli.h"
+
 namespace hlrc {
 
-const char* ProtocolName(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kLrc:
-      return "LRC";
-    case ProtocolKind::kOlrc:
-      return "OLRC";
-    case ProtocolKind::kHlrc:
-      return "HLRC";
-    case ProtocolKind::kOhlrc:
-      return "OHLRC";
-    case ProtocolKind::kErc:
-      return "ERC";
-    case ProtocolKind::kAurc:
-      return "AURC";
-  }
-  return "?";
+namespace {
+
+// Table lookups behind the XName / ParseX pairs of options.h. Rows are in
+// enumerator order, so a value indexes its own row.
+template <typename Row, size_t N, typename E>
+const char* Spell(const Row (&rows)[N], const char* Row::*spelling, E v) {
+  const auto i = static_cast<size_t>(v);
+  return i < N ? rows[i].*spelling : "?";
 }
 
-const char* DiffPolicyName(DiffPolicy p) {
-  switch (p) {
-    case DiffPolicy::kEager:
-      return "eager";
-    case DiffPolicy::kLazy:
-      return "lazy";
-  }
-  return "?";
-}
-
-const char* HomePolicyName(HomePolicy p) {
-  switch (p) {
-    case HomePolicy::kBlock:
-      return "block";
-    case HomePolicy::kRoundRobin:
-      return "round-robin";
-    case HomePolicy::kSingleNode:
-      return "single-node";
-  }
-  return "?";
-}
-
-bool ParseHomePolicyName(const std::string& s, HomePolicy* out) {
-  for (int p = 0; p <= static_cast<int>(HomePolicy::kSingleNode); ++p) {
-    if (s == HomePolicyName(static_cast<HomePolicy>(p))) {
-      *out = static_cast<HomePolicy>(p);
+template <typename Row, size_t N, typename E>
+bool Lookup(const Row (&rows)[N], const char* Row::*spelling, const std::string& s, E* out) {
+  for (const Row& row : rows) {
+    if (s == row.*spelling) {
+      *out = row.value;
       return true;
     }
   }
   return false;
 }
 
-const char* TestMutationName(TestMutation m) {
-  switch (m) {
-    case TestMutation::kNone:
-      return "none";
-    case TestMutation::kHlrcSkipDiffApply:
-      return "hlrc-skip-diff-apply";
-    case TestMutation::kLrcSkipInvalidate:
-      return "lrc-skip-invalidate";
+}  // namespace
+
+const char* ProtocolName(ProtocolKind k) {
+  return Spell(kProtocolSpellings, &ProtocolSpelling::name, k);
+}
+const char* ProtocolFlag(ProtocolKind k) {
+  return Spell(kProtocolSpellings, &ProtocolSpelling::flag, k);
+}
+bool ParseProtocolName(const std::string& s, ProtocolKind* out) {
+  return Lookup(kProtocolSpellings, &ProtocolSpelling::name, s, out);
+}
+bool ParseProtocolFlag(const std::string& s, ProtocolKind* out) {
+  return Lookup(kProtocolSpellings, &ProtocolSpelling::flag, s, out);
+}
+bool ParseProtocolFlags(const std::string& list, std::vector<ProtocolKind>* out) {
+  const std::vector<std::string> names = SplitList(list);
+  for (const std::string& name : names) {
+    if (!ParseProtocolFlag(name, &out->emplace_back())) {
+      return false;
+    }
   }
-  return "?";
+  return !names.empty();
+}
+
+const char* HomePolicyName(HomePolicy p) {
+  return Spell(kHomePolicyNames, &EnumName<HomePolicy>::name, p);
+}
+bool ParseHomePolicyName(const std::string& s, HomePolicy* out) {
+  return Lookup(kHomePolicyNames, &EnumName<HomePolicy>::name, s, out);
+}
+
+const char* DiffPolicyName(DiffPolicy p) {
+  return Spell(kDiffPolicyNames, &EnumName<DiffPolicy>::name, p);
+}
+bool ParseDiffPolicyName(const std::string& s, DiffPolicy* out) {
+  return Lookup(kDiffPolicyNames, &EnumName<DiffPolicy>::name, s, out);
+}
+
+const char* TestMutationName(TestMutation m) {
+  return Spell(kTestMutationNames, &EnumName<TestMutation>::name, m);
+}
+bool ParseTestMutationName(const std::string& s, TestMutation* out) {
+  return Lookup(kTestMutationNames, &EnumName<TestMutation>::name, s, out);
 }
 
 ProtocolNode::ProtocolNode(const Env& env)

@@ -53,7 +53,7 @@ struct ProtoStats {
   int64_t write_notices_received = 0;
   int64_t pages_invalidated = 0;
   int64_t gc_runs = 0;
-  // Request combining (ProtocolOptions::coalesce): page replies served from a
+  // Request combining (NetworkConfig::coalesce): page replies served from a
   // snapshot shared with at least one other parked requester. Not part of the
   // golden summary (zero with coalescing off).
   int64_t page_replies_combined = 0;
@@ -68,6 +68,41 @@ struct ProtoStats {
   // table6_memory can attribute metadata overhead. Not part of the run
   // summary or golden output.
   int64_t interval_meta_highwater = 0;
+
+  // Field-wise sum (RunReport::Totals) and quotient (RunReport::Average).
+  ProtoStats& operator+=(const ProtoStats& o) {
+    return ForEachPair(o, [](int64_t& a, int64_t b) { a += b; });
+  }
+  ProtoStats& operator/=(int64_t n) {
+    return ForEachPair(*this, [n](int64_t& a, int64_t) { a /= n; });
+  }
+
+ private:
+  // Calls f(mine, theirs) for every counter: the one field list both
+  // operators share.
+  template <typename F>
+  ProtoStats& ForEachPair(const ProtoStats& o, F f) {
+    f(read_misses, o.read_misses);
+    f(write_faults, o.write_faults);
+    f(page_fetches, o.page_fetches);
+    f(diffs_created, o.diffs_created);
+    f(diffs_applied, o.diffs_applied);
+    f(diff_requests_sent, o.diff_requests_sent);
+    f(lock_acquires, o.lock_acquires);
+    f(remote_acquires, o.remote_acquires);
+    f(barriers, o.barriers);
+    f(intervals_closed, o.intervals_closed);
+    f(write_notices_received, o.write_notices_received);
+    f(pages_invalidated, o.pages_invalidated);
+    f(gc_runs, o.gc_runs);
+    f(page_replies_combined, o.page_replies_combined);
+    for (size_t i = 0; i < waits.by_cat.size(); ++i) {
+      f(waits.by_cat[i], o.waits.by_cat[i]);
+    }
+    f(proto_mem_highwater, o.proto_mem_highwater);
+    f(interval_meta_highwater, o.interval_meta_highwater);
+    return *this;
+  }
 };
 
 // One node's barrier arrival — its id and the vector time it arrived with.

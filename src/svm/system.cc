@@ -334,23 +334,9 @@ NodeReport RunReport::Average() const {
     v /= n;
   }
   avg.finish_time /= n;
-  avg.proto.read_misses /= n;
-  avg.proto.write_faults /= n;
-  avg.proto.page_fetches /= n;
-  avg.proto.diffs_created /= n;
-  avg.proto.diffs_applied /= n;
-  avg.proto.diff_requests_sent /= n;
-  avg.proto.lock_acquires /= n;
-  avg.proto.remote_acquires /= n;
-  avg.proto.barriers /= n;
-  avg.proto.intervals_closed /= n;
-  avg.proto.write_notices_received /= n;
-  avg.proto.pages_invalidated /= n;
-  avg.proto.interval_meta_highwater /= n;
+  avg.proto /= n;
+  avg.traffic /= n;
   avg.proto_mem_highwater /= n;
-  avg.traffic.msgs_sent /= n;
-  avg.traffic.update_bytes_sent /= n;
-  avg.traffic.protocol_bytes_sent /= n;
   return avg;
 }
 
@@ -361,36 +347,9 @@ NodeReport RunReport::Totals() const {
     total.cpu_busy += r.cpu_busy;
     total.cop_busy += r.cop_busy;
     total.waits += r.waits;
-    total.proto.read_misses += r.proto.read_misses;
-    total.proto.write_faults += r.proto.write_faults;
-    total.proto.page_fetches += r.proto.page_fetches;
-    total.proto.diffs_created += r.proto.diffs_created;
-    total.proto.diffs_applied += r.proto.diffs_applied;
-    total.proto.diff_requests_sent += r.proto.diff_requests_sent;
-    total.proto.lock_acquires += r.proto.lock_acquires;
-    total.proto.remote_acquires += r.proto.remote_acquires;
-    total.proto.barriers += r.proto.barriers;
-    total.proto.intervals_closed += r.proto.intervals_closed;
-    total.proto.write_notices_received += r.proto.write_notices_received;
-    total.proto.pages_invalidated += r.proto.pages_invalidated;
-    total.proto.gc_runs += r.proto.gc_runs;
-    total.proto.page_replies_combined += r.proto.page_replies_combined;
-    total.proto.interval_meta_highwater += r.proto.interval_meta_highwater;
+    total.proto += r.proto;
+    total.traffic += r.traffic;
     total.proto_mem_highwater += r.proto_mem_highwater;
-    total.traffic.msgs_sent += r.traffic.msgs_sent;
-    total.traffic.msgs_received += r.traffic.msgs_received;
-    total.traffic.update_bytes_sent += r.traffic.update_bytes_sent;
-    total.traffic.protocol_bytes_sent += r.traffic.protocol_bytes_sent;
-    total.traffic.msgs_retransmitted += r.traffic.msgs_retransmitted;
-    total.traffic.msgs_dropped_in_net += r.traffic.msgs_dropped_in_net;
-    total.traffic.msgs_duplicated_dropped += r.traffic.msgs_duplicated_dropped;
-    total.traffic.acks_sent += r.traffic.acks_sent;
-    total.traffic.frames_coalesced += r.traffic.frames_coalesced;
-    total.traffic.msgs_coalesced += r.traffic.msgs_coalesced;
-    total.traffic.acks_piggybacked += r.traffic.acks_piggybacked;
-    for (size_t i = 0; i < r.traffic.msgs_by_type.size(); ++i) {
-      total.traffic.msgs_by_type[i] += r.traffic.msgs_by_type[i];
-    }
   }
   return total;
 }

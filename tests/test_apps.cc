@@ -2,6 +2,7 @@
 // reference under every protocol and several node counts.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <tuple>
 
@@ -54,17 +55,48 @@ std::string CaseName(const ::testing::TestParamInfo<AppCase>& info) {
 INSTANTIATE_TEST_SUITE_P(AllApps, AppCorrectnessTest, ::testing::ValuesIn(AllCases()),
                          CaseName);
 
-TEST(AppScaleNames, RoundTripAndRejectUnknown) {
-  for (const AppScale s : {AppScale::kTiny, AppScale::kDefault, AppScale::kPaper}) {
-    AppScale parsed = s == AppScale::kTiny ? AppScale::kPaper : AppScale::kTiny;
-    ASSERT_TRUE(ParseAppScale(AppScaleName(s), &parsed)) << AppScaleName(s);
-    EXPECT_EQ(parsed, s);
+// Checks that every value in `values` round-trips through `name`/`parse`,
+// and that `parse` rejects each of `bad` without touching its output.
+template <typename E>
+void ExpectNameTable(std::initializer_list<E> values, const char* (*name)(E),
+                     bool (*parse)(const std::string&, E*),
+                     std::initializer_list<const char*> bad) {
+  for (const E v : values) {
+    E parsed = static_cast<E>(-1);
+    ASSERT_TRUE(parse(name(v), &parsed)) << name(v);
+    EXPECT_EQ(parsed, v) << name(v);
   }
-  AppScale untouched = AppScale::kPaper;
-  for (const char* bad : {"tny", "", "Paper", "default "}) {
-    EXPECT_FALSE(ParseAppScale(bad, &untouched)) << bad;
+  for (const char* b : bad) {
+    E untouched = *values.begin();
+    EXPECT_FALSE(parse(b, &untouched)) << b;
+    EXPECT_EQ(untouched, *values.begin()) << b;
   }
-  EXPECT_EQ(untouched, AppScale::kPaper);
+}
+
+// The configuration vocabulary every command line, report and repro file
+// spells values with: each enumerator round-trips through each spelling its
+// enum has, and anything else is rejected. ProtocolKind has two spellings,
+// the flag "hlrc" and the report/repro name "HLRC".
+TEST(ConfigNames, RoundTripAndRejectUnknown) {
+  ExpectNameTable({AppScale::kTiny, AppScale::kDefault, AppScale::kPaper}, AppScaleName,
+                  ParseAppScale, {"tny", "", "Paper", "default "});
+  const auto protocols = {ProtocolKind::kLrc, ProtocolKind::kOlrc, ProtocolKind::kHlrc,
+                          ProtocolKind::kOhlrc, ProtocolKind::kErc, ProtocolKind::kAurc};
+  ExpectNameTable(protocols, ProtocolFlag, ParseProtocolFlag,
+                  {"", "HLRC", "hlrc ", "h", "bogus"});
+  ExpectNameTable(protocols, ProtocolName, ParseProtocolName,
+                  {"", "hlrc", "HLRC ", "H", "BOGUS"});
+  EXPECT_STREQ(ProtocolFlag(ProtocolKind::kOhlrc), "ohlrc");
+  EXPECT_STREQ(ProtocolName(ProtocolKind::kOhlrc), "OHLRC");
+  ExpectNameTable({TestMutation::kNone, TestMutation::kHlrcSkipDiffApply,
+                   TestMutation::kLrcSkipInvalidate},
+                  TestMutationName, ParseTestMutationName,
+                  {"", "None", "hlrc-skip-diff", "lrc-skip-invalidate "});
+  ExpectNameTable({DiffPolicy::kEager, DiffPolicy::kLazy}, DiffPolicyName, ParseDiffPolicyName,
+                  {"", "Eager", "lazy ", "eagerly"});
+  ExpectNameTable({HomePolicy::kBlock, HomePolicy::kRoundRobin, HomePolicy::kSingleNode},
+                  HomePolicyName, ParseHomePolicyName,
+                  {"", "Block", "round_robin", "single"});
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "src/common/cli.h"
+
 namespace hlrc {
 namespace bench {
 namespace {
@@ -80,6 +84,67 @@ TEST(BenchUtil, RunVerifiedReturnsReport) {
   EXPECT_TRUE(r.verified);
   EXPECT_GT(r.report.total_time, 0);
   EXPECT_EQ(r.report.nodes.size(), 4u);
+}
+
+// The shared value parsers behind every command line (src/common/cli.h):
+// whole-string, range-checked, and output untouched on failure.
+TEST(CliValues, CheckedParsersRejectMalformedValues) {
+  int n = 7;
+  for (const char* bad : {"", "abc", "64k", "8 ", " 8", "+8", "1.5", "0x10", "0", "-5",
+                          "99999999999"}) {
+    EXPECT_FALSE(ParseInt(bad, &n, 1)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(n, 7);
+  EXPECT_TRUE(ParseInt("64", &n, 1));
+  EXPECT_EQ(n, 64);
+  EXPECT_FALSE(ParseInt("65", &n, 1, 64));
+
+  uint64_t seed = 3;
+  EXPECT_FALSE(ParseInt("-1", &seed));  // No wrap-around into an unsigned.
+  EXPECT_FALSE(ParseInt("18446744073709551616", &seed));
+  EXPECT_EQ(seed, 3u);
+  EXPECT_TRUE(ParseInt("18446744073709551615", &seed));
+  EXPECT_EQ(seed, UINT64_MAX);
+
+  double p = 0.25;
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "1.5", "-0.1", "nan", "inf"}) {
+    EXPECT_FALSE(ParseProbability(bad, &p)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(p, 0.25);
+  EXPECT_TRUE(ParseProbability("0.01", &p));
+  EXPECT_EQ(p, 0.01);
+  EXPECT_TRUE(ParseProbability("1", &p));
+  EXPECT_EQ(p, 1.0);
+  EXPECT_FALSE(ParseReal("-1", &p, 0, 10));
+  EXPECT_TRUE(ParseReal("2.5", &p, 0, 10));
+  EXPECT_EQ(p, 2.5);
+
+  SimTime t = 5;
+  EXPECT_FALSE(ParseMicros("0", &t, 1));
+  EXPECT_FALSE(ParseMicros("10us", &t, 1));
+  EXPECT_FALSE(ParseMicros("9223372036854775807", &t, 1));  // Would overflow as ns.
+  EXPECT_EQ(t, 5);
+  EXPECT_TRUE(ParseMicros("150", &t, 0));
+  EXPECT_EQ(t, Micros(150));
+
+  EXPECT_EQ(SplitList("a,,b,"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(SplitList("").empty());
+  EXPECT_TRUE(SplitList(",").empty());
+}
+
+// Malformed flag values print usage and exit 2 instead of aborting or
+// running a silently misread configuration.
+TEST(BenchUtilDeathTest, MalformedValuesExitWithUsage) {
+  using ::testing::ExitedWithCode;
+  EXPECT_EXIT(Parse({"--protocols=bogus"}), ExitedWithCode(2), "--protocols=bogus: expected");
+  EXPECT_EXIT(Parse({"--protocols=lrc,HLRC"}), ExitedWithCode(2),
+              "--protocols=lrc,HLRC: expected");
+  EXPECT_EXIT(Parse({"--apps=nosuch"}), ExitedWithCode(2), "unknown app 'nosuch'");
+  EXPECT_EXIT(Parse({"--apps=,"}), ExitedWithCode(2), "--apps=,: expected");
+  EXPECT_EXIT(Parse({"--nodes=abc"}), ExitedWithCode(2), "--nodes=abc: expected");
+  EXPECT_EXIT(Parse({"--nodes=8,0"}), ExitedWithCode(2), "--nodes=8,0: expected");
+  EXPECT_EXIT(Parse({"--fault-drop=1.5"}), ExitedWithCode(2), "--fault-drop=1.5: expected");
+  EXPECT_EXIT(Parse({"--page-size=4k"}), ExitedWithCode(2), "--page-size=4k: expected");
 }
 
 }  // namespace

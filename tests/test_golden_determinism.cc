@@ -205,15 +205,14 @@ TEST(GoldenDeterminism, ReplayReproducesRecordedRun) {
   EXPECT_EQ(recorded, FormatSummary("sor", ProtocolKind::kHlrc, sys.report()));
 }
 
-// The coalesced wire plane (PR-10) is opt-in: a default-constructed config
-// must have every piece of it off, which together with
+// The coalesced wire plane is opt-in: a default-constructed config has its
+// one switch (NetworkConfig::coalesce: bundling, ack piggybacking and
+// request combining) and the barrier tree off, which together with
 // SummaryMatchesCheckedInGolden pins "flags off => bit-identical to the
 // pre-coalescing golden" for all four protocol families.
 TEST(GoldenDeterminism, CoalescedWirePlaneIsOffByDefault) {
   SimConfig cfg;
   EXPECT_FALSE(cfg.network.coalesce);
-  EXPECT_FALSE(cfg.protocol.coalesce);
-  EXPECT_FALSE(cfg.reliability.piggyback_acks);
   EXPECT_EQ(cfg.protocol.barrier_arity, 0);
 }
 
@@ -224,7 +223,6 @@ AppRunResult RunCoalesced(const std::string& app_name, ProtocolKind kind) {
   cfg.nodes = kNodes;
   cfg.protocol.kind = kind;
   cfg.network.coalesce = true;
-  cfg.protocol.coalesce = true;
   cfg.protocol.barrier_arity = 4;
   return RunApp(*app, cfg);
 }

@@ -58,7 +58,8 @@ struct Rig {
   Rig(SimTime retry_timeout, int max_retries, FaultHook* fault_hook)
       : Rig(MakeConfig(retry_timeout, max_retries), fault_hook) {}
 
-  Rig(ReliabilityConfig rc, FaultHook* fault_hook) : net(&engine, 2, NetworkConfig{}) {
+  Rig(ReliabilityConfig rc, FaultHook* fault_hook, NetworkConfig nc = {})
+      : net(&engine, 2, nc) {
     net.EnableReliableDelivery(rc);
     net.SetFaultHook(fault_hook);
     net.SetHandler(0, [this](Message m) { received0.push_back(m.type); });
@@ -196,9 +197,7 @@ TEST(ReliableChannel, PiggybackAckRidesReverseDataFrame) {
   // standalone frame. Only the final reply (no reverse traffic after it) needs
   // a deadline-flushed standalone ack.
   ScriptedHook hook;  // Clean fabric.
-  ReliabilityConfig rc = Rig::MakeConfig(Millis(10), 12);
-  rc.piggyback_acks = true;
-  Rig rig(rc, &hook);
+  Rig rig(Rig::MakeConfig(Millis(10), 12), &hook, {.coalesce = true});
   rig.net.SetHandler(1, [&rig](Message m) {
     rig.received1.push_back(m.type);
     rig.net.Send(MakeMsg(1, 0, MsgType::kPageReply));
@@ -218,17 +217,20 @@ TEST(ReliableChannel, PiggybackAckRidesReverseDataFrame) {
 
 TEST(ReliableChannel, PiggybackDeadlineCombinesStandaloneAcks) {
   // No reverse traffic at all: the deadline fires and flushes every owed seq
-  // in ONE multi-seq standalone ack frame, not one frame per data frame.
+  // in ONE multi-seq standalone ack frame, not one frame per data frame. The
+  // two data frames leave in separate ticks, both before the ack deadline:
+  // same-tick sends would be bundled into one frame, owing a single seq.
   ScriptedHook hook;
-  ReliabilityConfig rc = Rig::MakeConfig(Millis(10), 12);
-  rc.piggyback_acks = true;
-  Rig rig(rc, &hook);
+  Rig rig(Rig::MakeConfig(Millis(10), 12), &hook, {.coalesce = true});
 
   rig.net.Send(MakeMsg(0, 1));
-  rig.net.Send(MakeMsg(0, 1, MsgType::kDiffRequest));
+  rig.engine.Schedule(Micros(100),
+                      [&rig] { rig.net.Send(MakeMsg(0, 1, MsgType::kDiffRequest)); });
   rig.engine.Run();
 
   ASSERT_EQ(rig.received1.size(), 2u);
+  EXPECT_EQ(rig.net.NodeStats(0).msgs_sent, 2);  // Two data frames, no bundle.
+  EXPECT_EQ(rig.net.NodeStats(0).frames_coalesced, 0);
   EXPECT_EQ(rig.net.NodeStats(1).acks_sent, 1);  // Two seqs, one ack frame.
   EXPECT_EQ(rig.net.NodeStats(1).acks_piggybacked, 0);
   EXPECT_EQ(rig.net.TotalStats().msgs_retransmitted, 0);
@@ -248,9 +250,7 @@ TEST(ReliableChannel, PiggybackedAckSurvivesRetransmissionOfItsCarrier) {
   FaultDecision drop;
   drop.drop = true;
   hook.Push(drop);  // Reply 1->0 (carrying the piggybacked ack) is lost.
-  ReliabilityConfig rc = Rig::MakeConfig(Millis(5), 12);
-  rc.piggyback_acks = true;
-  Rig rig(rc, &hook);
+  Rig rig(Rig::MakeConfig(Millis(5), 12), &hook, {.coalesce = true});
   rig.net.SetHandler(1, [&rig](Message m) {
     rig.received1.push_back(m.type);
     rig.net.Send(MakeMsg(1, 0, MsgType::kPageReply));

@@ -2,6 +2,10 @@
 // charging, and misuse detection.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <type_traits>
+
 #include "src/svm/system.h"
 #include "tests/test_util.h"
 
@@ -96,6 +100,36 @@ TEST(SystemApi, ReadsAreFreeWhenPagesValid) {
   EXPECT_EQ(sys.report().Totals().proto.read_misses, 0);
   EXPECT_EQ(sys.report().Totals().traffic.msgs_sent,
             sys.report().Totals().traffic.msgs_received);
+}
+
+// Average() divides every counter of the summed report by the node count,
+// and Totals() sums every counter. NodeReport is all int64 slots, so the
+// check walks the raw slots: a counter added later is covered without
+// touching this test.
+TEST(RunReportTest, AverageHalvesEveryFieldOfTwoNodes) {
+  static_assert(std::is_trivially_copyable_v<NodeReport>);
+  static_assert(sizeof(NodeReport) % sizeof(int64_t) == 0);
+  constexpr size_t kSlots = sizeof(NodeReport) / sizeof(int64_t);
+  RunReport report;
+  for (const int64_t scale : {1, 3}) {
+    std::array<int64_t, kSlots> slots;
+    for (size_t i = 0; i < kSlots; ++i) {
+      slots[i] = scale * static_cast<int64_t>(i + 1);
+    }
+    NodeReport r;
+    std::memcpy(static_cast<void*>(&r), slots.data(), sizeof(r));
+    report.nodes.push_back(r);
+  }
+  const NodeReport avg = report.Average();
+  const NodeReport tot = report.Totals();
+  std::array<int64_t, kSlots> a;
+  std::array<int64_t, kSlots> t;
+  std::memcpy(a.data(), &avg, sizeof(avg));
+  std::memcpy(t.data(), &tot, sizeof(tot));
+  for (size_t i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(t[i], 4 * static_cast<int64_t>(i + 1)) << "slot " << i;
+    EXPECT_EQ(a[i], 2 * static_cast<int64_t>(i + 1)) << "slot " << i;
+  }
 }
 
 TEST(SystemApiDeathTest, RecursiveAcquireAborts) {

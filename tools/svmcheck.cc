@@ -12,33 +12,7 @@
 //   svmcheck --mutation=hlrc-skip-diff-apply  # prove the oracle has teeth
 //   svmcheck --replay-seed=17 --limit=42 --litmus=lock-handoff --protocols=lrc
 //
-// Flags:
-//   --litmus=LIST         comma-separated litmus names, or "all" (default)
-//   --protocols=LIST      lrc | olrc | hlrc | ohlrc | erc | aurc, or "all"
-//                         (default: the four evaluated families
-//                         lrc,erc,hlrc,aurc)
-//   --seeds=N             seeds per (litmus, protocol) pair (default 100)
-//   --seed=N              first seed of the sweep (default 1)
-//   --jobs=N              worker threads per sweep (default: hardware
-//                         concurrency; each seed runs its own System, and the
-//                         report is byte-identical to --jobs=1)
-//   --nodes=N             node count (default 4)
-//   --rounds=N            litmus rounds (default 3)
-//   --page-size=BYTES     SVM page size (default 512)
-//   --max-jitter-us=N     max per-message delivery jitter (default 150; 0 off)
-//   --no-permute          disable the same-time event permutation
-//   --mutation=NAME       none | hlrc-skip-diff-apply | lrc-skip-invalidate
-//   --fault-drop=P        compose with fault injection: drop probability
-//                         (enables the reliable channel automatically)
-//   --coalesce            coalesced wire plane (frame packing, request
-//                         combining; piggybacked acks with --fault-drop)
-//   --barrier-arity=N     combining barrier tree of arity N (0 = flat)
-//   --stop-on-failure     stop a sweep at its first failing seed
-//   --replay-seed=N       run exactly one seed and print its chaos decision
-//                         trace (scheduler decisions — neither an execution
-//                         trace nor a workload trace)
-//   --limit=N             decision limit for --replay-seed (default: unlimited)
-//   --list                print litmus and protocol names
+// The flag list is kTool's usage text below, the one copy `--help` prints.
 //
 // Exit status: 0 if every run satisfied the oracle, 1 otherwise.
 #include <algorithm>
@@ -60,18 +34,11 @@ namespace {
 struct Options {
   std::vector<std::string> litmus;
   std::vector<ProtocolKind> protocols;
+  // What every (litmus, protocol, seed) run starts from; flags parse into it.
+  CheckConfig base;
   int seeds = 100;
   uint64_t first_seed = 1;
   int jobs = 0;  // 0 = hardware concurrency.
-  int nodes = 4;
-  int rounds = 3;
-  int64_t page_size = 512;
-  SimTime max_jitter = Micros(150);
-  bool permute = true;
-  TestMutation mutation = TestMutation::kNone;
-  double fault_drop = 0.0;
-  bool coalesce = false;
-  int barrier_arity = 0;
   bool stop_on_failure = false;
   bool replay = false;
   uint64_t replay_seed = 0;
@@ -108,110 +75,82 @@ const ToolInfo kTool = {
     "  --list                print litmus, protocol and mutation names\n",
 };
 
-const char* ProtocolFlag(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kLrc: return "lrc";
-    case ProtocolKind::kOlrc: return "olrc";
-    case ProtocolKind::kHlrc: return "hlrc";
-    case ProtocolKind::kOhlrc: return "ohlrc";
-    case ProtocolKind::kErc: return "erc";
-    case ProtocolKind::kAurc: return "aurc";
-  }
-  return "?";
-}
-
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") return ProtocolKind::kLrc;
-  if (s == "olrc") return ProtocolKind::kOlrc;
-  if (s == "hlrc") return ProtocolKind::kHlrc;
-  if (s == "ohlrc") return ProtocolKind::kOhlrc;
-  if (s == "erc") return ProtocolKind::kErc;
-  if (s == "aurc") return ProtocolKind::kAurc;
-  UsageError(kTool, "unknown protocol '" + s + "'");
-}
-
-TestMutation ParseMutation(const std::string& s) {
-  if (s == "none") return TestMutation::kNone;
-  if (s == "hlrc-skip-diff-apply") return TestMutation::kHlrcSkipDiffApply;
-  if (s == "lrc-skip-invalidate") return TestMutation::kLrcSkipInvalidate;
-  UsageError(kTool, "unknown mutation '" + s + "'");
-}
-
-std::vector<std::string> SplitList(const std::string& s) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = s.find(',', pos);
-    const size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > pos) {
-      out.push_back(s.substr(pos, end - pos));
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
 Options Parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
+    // VALUE that does not parse exits 2 naming the flag (an empty branch
+    // below means the matcher already stored the value).
+    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
     auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
+    auto integer = [&](const char* p, auto* out, auto lo) {
+      if (has(p) && !ParseInt(val(p), out, lo)) {
+        UsageError(kTool, arg + ": expected an integer >= " + std::to_string(lo));
+      }
+      return has(p);
+    };
+    auto named = [&](const char* p, auto parse, auto* out) {
+      if (has(p) && !parse(val(p), out)) {
+        UsageError(kTool, arg + ": expected a known name");
+      }
+      return has(p);
+    };
     if (arg == "--list") {
       std::printf("litmus tests:");
       for (const std::string& l : LitmusNames()) {
         std::printf(" %s", l.c_str());
       }
-      std::printf("\nprotocols: lrc olrc hlrc ohlrc erc aurc\n");
-      std::printf("mutations: none hlrc-skip-diff-apply lrc-skip-invalidate\n");
+      std::printf("\nprotocols:");
+      for (const ProtocolSpelling& p : kProtocolSpellings) {
+        std::printf(" %s", p.flag);
+      }
+      std::printf("\nmutations:");
+      for (const EnumName<TestMutation>& m : kTestMutationNames) {
+        std::printf(" %s", m.name);
+      }
+      std::printf("\n");
       std::exit(0);
-    } else if (arg.rfind("--litmus=", 0) == 0) {
+    } else if (has("--litmus=")) {
       const std::string s = val("--litmus=");
       o.litmus = s == "all" ? LitmusNames() : SplitList(s);
-    } else if (arg.rfind("--protocols=", 0) == 0) {
-      const std::string s = val("--protocols=");
-      for (const std::string& p :
-           SplitList(s == "all" ? "lrc,olrc,hlrc,ohlrc,erc,aurc" : s)) {
-        o.protocols.push_back(ParseProtocol(p));
+    } else if (arg == "--protocols=all") {
+      for (const ProtocolSpelling& p : kProtocolSpellings) {
+        o.protocols.push_back(p.value);
       }
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      o.seeds = std::atoi(val("--seeds=").c_str());
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      o.first_seed = std::strtoull(val("--seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      o.jobs = std::atoi(val("--jobs=").c_str());
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      o.nodes = std::atoi(val("--nodes=").c_str());
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      o.rounds = std::atoi(val("--rounds=").c_str());
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      o.page_size = std::atoll(val("--page-size=").c_str());
-    } else if (arg.rfind("--max-jitter-us=", 0) == 0) {
-      o.max_jitter = Micros(std::atoll(val("--max-jitter-us=").c_str()));
+    } else if (named("--protocols=", ParseProtocolFlags, &o.protocols)) {
+    } else if (integer("--seeds=", &o.seeds, 1)) {
+    } else if (integer("--seed=", &o.first_seed, 0)) {
+    } else if (integer("--jobs=", &o.jobs, 0)) {
+    } else if (integer("--nodes=", &o.base.nodes, 2)) {  // A writer and a reader, at least.
+    } else if (integer("--rounds=", &o.base.rounds, 1)) {
+    } else if (integer("--page-size=", &o.base.page_size, 1)) {
+    } else if (has("--max-jitter-us=")) {
+      if (!ParseMicros(val("--max-jitter-us="), &o.base.max_jitter, 0)) {
+        UsageError(kTool, arg + ": expected microseconds >= 0");
+      }
     } else if (arg == "--no-permute") {
-      o.permute = false;
-    } else if (arg.rfind("--mutation=", 0) == 0) {
-      o.mutation = ParseMutation(val("--mutation="));
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      o.fault_drop = std::atof(val("--fault-drop=").c_str());
-    } else if (arg == "--coalesce") {
-      o.coalesce = true;
-    } else if (arg.rfind("--barrier-arity=", 0) == 0) {
-      o.barrier_arity = std::atoi(val("--barrier-arity=").c_str());
-      if (o.barrier_arity < 0) {
-        UsageError(kTool, "--barrier-arity must be >= 0");
+      o.base.permute_tasks = false;
+    } else if (named("--mutation=", ParseTestMutationName, &o.base.mutation)) {
+    } else if (has("--fault-drop=")) {
+      if (!ParseProbability(val("--fault-drop="), &o.base.fault.drop_prob)) {
+        UsageError(kTool, arg + ": expected a probability in [0, 1]");
       }
+    } else if (arg == "--coalesce") {
+      o.base.coalesce = true;
+    } else if (integer("--barrier-arity=", &o.base.barrier_arity, 0)) {
     } else if (arg == "--stop-on-failure") {
       o.stop_on_failure = true;
-    } else if (arg.rfind("--replay-seed=", 0) == 0) {
+    } else if (integer("--replay-seed=", &o.replay_seed, 0)) {
       o.replay = true;
-      o.replay_seed = std::strtoull(val("--replay-seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      o.limit = std::strtoull(val("--limit=").c_str(), nullptr, 10);
+    } else if (integer("--limit=", &o.limit, 0)) {
       o.limit_set = true;
     } else if (!HandleCommonFlag(kTool, arg)) {
       UsageError(kTool, "unknown flag: " + arg);
     }
   }
+  // A lossy fabric needs the reliable channel.
+  o.base.reliability.enabled = o.base.fault.drop_prob > 0;
   // --replay-seed and --limit only make sense as a pair: a replay without a
   // decision limit is not the minimized schedule svmcheck printed, and a
   // limit without a replay seed would silently run a full sweep.
@@ -226,14 +165,11 @@ Options Parse(int argc, char** argv) {
   }
   // Validate names up front: a typo should list the alternatives, not abort
   // mid-sweep inside MakeLitmus.
+  const std::vector<std::string>& known = LitmusNames();
   for (const std::string& name : o.litmus) {
-    bool known = false;
-    for (const std::string& l : LitmusNames()) {
-      known = known || l == name;
-    }
-    if (!known) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
       std::fprintf(stderr, "unknown litmus '%s'; known litmus tests:", name.c_str());
-      for (const std::string& l : LitmusNames()) {
+      for (const std::string& l : known) {
         std::fprintf(stderr, " %s", l.c_str());
       }
       std::fprintf(stderr, "\n");
@@ -248,21 +184,9 @@ Options Parse(int argc, char** argv) {
 }
 
 CheckConfig BaseConfig(const Options& o, const std::string& litmus, ProtocolKind protocol) {
-  CheckConfig cfg;
+  CheckConfig cfg = o.base;
   cfg.litmus = litmus;
   cfg.protocol = protocol;
-  cfg.nodes = o.nodes;
-  cfg.rounds = o.rounds;
-  cfg.page_size = o.page_size;
-  cfg.permute_tasks = o.permute;
-  cfg.max_jitter = o.max_jitter;
-  cfg.mutation = o.mutation;
-  if (o.fault_drop > 0) {
-    cfg.fault.drop_prob = o.fault_drop;
-    cfg.reliability.enabled = true;
-  }
-  cfg.coalesce = o.coalesce;
-  cfg.barrier_arity = o.barrier_arity;
   return cfg;
 }
 
@@ -324,70 +248,37 @@ int Main(int argc, char** argv) {
 
   const int jobs = EffectiveJobs(o.jobs, o.seeds);
   std::printf("svmcheck: %d seeds per pair, %d nodes, %d rounds, mutation=%s\n", o.seeds,
-              o.nodes, o.rounds, TestMutationName(o.mutation));
+              o.base.nodes, o.base.rounds, TestMutationName(o.base.mutation));
   int total_failures = 0;
   int64_t total_reads = 0;
   for (const std::string& litmus : o.litmus) {
     for (ProtocolKind protocol : o.protocols) {
       const CheckConfig base = BaseConfig(o, litmus, protocol);
-      // Materialize the per-seed results, then aggregate and print with a
-      // sequential scan in seed order — the report is byte-identical at any
-      // job count. With --stop-on-failure on one job, the historical
-      // streaming path avoids running seeds past the first failure; in
-      // parallel every seed runs and the scan truncates instead.
-      std::vector<CheckResult> results;
-      if (jobs <= 1 && o.stop_on_failure) {
-        for (int i = 0; i < o.seeds; ++i) {
-          CheckConfig cfg = base;
-          cfg.seed = o.first_seed + static_cast<uint64_t>(i);
-          results.push_back(RunOne(cfg));
-          if (!results.back().ok) {
-            break;
-          }
-        }
-      } else {
-        results = ParallelMap<CheckResult>(o.seeds, jobs, [&base, &o](int i) {
-          CheckConfig cfg = base;
-          cfg.seed = o.first_seed + static_cast<uint64_t>(i);
-          return RunOne(cfg);
-        });
-      }
+      // Sweep aggregates in seed order, so the report is byte-identical at
+      // any job count. Only the first failure is minimized and printed.
       bool printed_failure = false;
-      SweepResult sweep;
-      for (size_t i = 0; i < results.size(); ++i) {
-        const CheckResult& r = results[i];
-        const uint64_t s = o.first_seed + static_cast<uint64_t>(i);
-        ++sweep.runs;
-        sweep.reads_checked += r.reads_checked;
-        sweep.writes_recorded += r.writes_recorded;
-        if (!r.ok) {
-          ++sweep.failures;
-          if (!sweep.found_failure) {
-            sweep.found_failure = true;
-            sweep.first_failing_seed = s;
-          }
-          if (!printed_failure) {
-            printed_failure = true;
-            std::printf("%-20s %-6s seed=%llu: VIOLATION — minimizing...\n", litmus.c_str(),
-                        ProtocolName(protocol), static_cast<unsigned long long>(s));
-            CheckConfig failing = base;
-            failing.seed = s;
-            const MinimizedSchedule min = Minimize(failing);
-            std::printf("  reproduce: svmcheck --replay-seed=%llu --limit=%llu "
-                        "--litmus=%s --protocols=%s --nodes=%d --rounds=%d%s%s\n",
-                        static_cast<unsigned long long>(s),
-                        static_cast<unsigned long long>(min.config.decision_limit),
-                        litmus.c_str(), ProtocolFlag(protocol), o.nodes, o.rounds,
-                        o.mutation != TestMutation::kNone ? " --mutation=" : "",
-                        o.mutation != TestMutation::kNone ? TestMutationName(o.mutation) : "");
-            PrintTrace(min.result, min.config.decision_limit);
-            PrintViolations(min.result);
-          }
-          if (o.stop_on_failure) {
-            break;
-          }
+      auto on_failure = [&](uint64_t s, const CheckResult&) {
+        if (printed_failure) {
+          return;
         }
-      }
+        printed_failure = true;
+        std::printf("%-20s %-6s seed=%llu: VIOLATION — minimizing...\n", litmus.c_str(),
+                    ProtocolName(protocol), static_cast<unsigned long long>(s));
+        CheckConfig failing = base;
+        failing.seed = s;
+        const MinimizedSchedule min = Minimize(failing);
+        std::printf("  reproduce: svmcheck --replay-seed=%llu --limit=%llu "
+                    "--litmus=%s --protocols=%s --nodes=%d --rounds=%d%s%s\n",
+                    static_cast<unsigned long long>(s),
+                    static_cast<unsigned long long>(min.config.decision_limit),
+                    litmus.c_str(), ProtocolFlag(protocol), base.nodes, base.rounds,
+                    base.mutation != TestMutation::kNone ? " --mutation=" : "",
+                    base.mutation != TestMutation::kNone ? TestMutationName(base.mutation) : "");
+        PrintTrace(min.result, min.config.decision_limit);
+        PrintViolations(min.result);
+      };
+      const SweepResult sweep =
+          Sweep(base, o.first_seed, o.seeds, on_failure, jobs, o.stop_on_failure);
       std::printf("%-20s %-6s: %d seeds, %d violation%s, %lld reads checked\n",
                   litmus.c_str(), ProtocolName(protocol), sweep.runs, sweep.failures,
                   sweep.failures == 1 ? "" : "s", static_cast<long long>(sweep.reads_checked));

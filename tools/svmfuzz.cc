@@ -16,7 +16,6 @@
 // Exit status: 0 clean session (or reproducer confirmed), 1 violation or
 // divergence found (or reproducer did not reproduce), 2 bad invocation.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -61,37 +60,6 @@ const ToolInfo kTool = {
     "  --cover-report        print the per-domain coverage breakdown\n"
     "  --repro=FILE          replay one repro file instead of fuzzing\n",
 };
-
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") return ProtocolKind::kLrc;
-  if (s == "olrc") return ProtocolKind::kOlrc;
-  if (s == "hlrc") return ProtocolKind::kHlrc;
-  if (s == "ohlrc") return ProtocolKind::kOhlrc;
-  if (s == "erc") return ProtocolKind::kErc;
-  if (s == "aurc") return ProtocolKind::kAurc;
-  UsageError(kTool, "unknown protocol '" + s + "'");
-}
-
-TestMutation ParseMutation(const std::string& s) {
-  if (s == "none") return TestMutation::kNone;
-  if (s == "hlrc-skip-diff-apply") return TestMutation::kHlrcSkipDiffApply;
-  if (s == "lrc-skip-invalidate") return TestMutation::kLrcSkipInvalidate;
-  UsageError(kTool, "unknown mutation '" + s + "'");
-}
-
-std::vector<std::string> SplitList(const std::string& s) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = s.find(',', pos);
-    const size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > pos) {
-      out.push_back(s.substr(pos, end - pos));
-    }
-    pos = end + 1;
-  }
-  return out;
-}
 
 int ReplayFile(const std::string& path) {
   fuzz::ReproFile repro;
@@ -151,47 +119,61 @@ int Main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
+    // VALUE that does not parse exits 2 naming the flag (an empty branch
+    // below means the matcher already stored the value).
+    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
     auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    if (arg.rfind("--budget=", 0) == 0) {
-      cfg.budget = std::atoi(val("--budget=").c_str());
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cfg.seed = std::strtoull(val("--seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      cfg.jobs = std::atoi(val("--jobs=").c_str());
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      cfg.batch = std::atoi(val("--batch=").c_str());
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      cfg.nodes = std::atoi(val("--nodes=").c_str());
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      cfg.page_size = std::atoll(val("--page-size=").c_str());
-    } else if (arg.rfind("--max-jitter-us=", 0) == 0) {
-      cfg.max_jitter = Micros(std::atoll(val("--max-jitter-us=").c_str()));
-    } else if (arg.rfind("--primary=", 0) == 0) {
-      cfg.primary = ParseProtocol(val("--primary="));
-    } else if (arg.rfind("--cross=", 0) == 0) {
-      cfg.cross.clear();
-      for (const std::string& p : SplitList(val("--cross="))) {
-        cfg.cross.push_back(ParseProtocol(p));
+    auto integer = [&](const char* p, auto* out, auto lo) {
+      if (has(p) && !ParseInt(val(p), out, lo)) {
+        UsageError(kTool, arg + ": expected an integer >= " + std::to_string(lo));
       }
-    } else if (arg.rfind("--mutation=", 0) == 0) {
-      cfg.mutation = ParseMutation(val("--mutation="));
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      cfg.fault_drop = std::atof(val("--fault-drop=").c_str());
-    } else if (arg.rfind("--fault-delay=", 0) == 0) {
-      cfg.fault_delay = std::atof(val("--fault-delay=").c_str());
+      return has(p);
+    };
+    auto probability = [&](const char* p, double* out) {
+      if (has(p) && !ParseProbability(val(p), out)) {
+        UsageError(kTool, arg + ": expected a probability in [0, 1]");
+      }
+      return has(p);
+    };
+    auto named = [&](const char* p, auto parse, auto* out) {
+      if (has(p) && !parse(val(p), out)) {
+        UsageError(kTool, arg + ": expected a known name");
+      }
+      return has(p);
+    };
+    if (integer("--budget=", &cfg.budget, 1)) {
+    } else if (integer("--seed=", &cfg.seed, 0)) {
+    } else if (integer("--jobs=", &cfg.jobs, 0)) {
+    } else if (integer("--batch=", &cfg.batch, 1)) {
+    } else if (integer("--nodes=", &cfg.nodes, 2)) {
+    } else if (integer("--page-size=", &cfg.page_size, 1)) {
+    } else if (has("--max-jitter-us=")) {
+      if (!ParseMicros(val("--max-jitter-us="), &cfg.max_jitter, 0)) {
+        UsageError(kTool, arg + ": expected microseconds >= 0");
+      }
+    } else if (named("--primary=", ParseProtocolFlag, &cfg.primary)) {
+    } else if (has("--cross=")) {
+      cfg.cross.clear();
+      named("--cross=", ParseProtocolFlags, &cfg.cross);
+    } else if (named("--mutation=", ParseTestMutationName, &cfg.mutation)) {
+    } else if (probability("--fault-drop=", &cfg.fault_drop)) {
+    } else if (probability("--fault-delay=", &cfg.fault_delay)) {
     } else if (arg == "--no-feedback") {
       cfg.feedback = false;
     } else if (arg == "--no-differential") {
       cfg.differential = false;
-    } else if (arg.rfind("--max-seconds=", 0) == 0) {
-      cfg.max_seconds = std::atof(val("--max-seconds=").c_str());
-    } else if (arg.rfind("--corpus-out=", 0) == 0) {
+    } else if (has("--max-seconds=")) {
+      if (!ParseReal(val("--max-seconds="), &cfg.max_seconds, 0, 1e9)) {
+        UsageError(kTool, arg + ": expected a number of seconds >= 0");
+      }
+    } else if (has("--corpus-out=")) {
       corpus_out = val("--corpus-out=");
-    } else if (arg.rfind("--repro-out=", 0) == 0) {
+    } else if (has("--repro-out=")) {
       repro_out = val("--repro-out=");
     } else if (arg == "--cover-report") {
       cover_report = true;
-    } else if (arg.rfind("--repro=", 0) == 0) {
+    } else if (has("--repro=")) {
       replay_path = val("--repro=");
     } else if (!HandleCommonFlag(kTool, arg)) {
       UsageError(kTool, "unknown flag: " + arg);
@@ -199,9 +181,6 @@ int Main(int argc, char** argv) {
   }
   if (!replay_path.empty()) {
     return ReplayFile(replay_path);
-  }
-  if (cfg.budget <= 0 || cfg.batch <= 0 || cfg.nodes < 2 || cfg.page_size <= 0) {
-    UsageError(kTool, "--budget, --batch must be positive; --nodes at least 2");
   }
   cfg.jobs = EffectiveJobs(cfg.jobs, cfg.batch);
 

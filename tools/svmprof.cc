@@ -549,9 +549,8 @@ int Main(int argc, char** argv) {
     } else if (arg == "--per-page") {
       per_page = true;
     } else if (arg.rfind("--top=", 0) == 0) {
-      top = std::atoll(arg.substr(std::strlen("--top=")).c_str());
-      if (top <= 0) {
-        UsageError(kTool, "--top must be positive");
+      if (!ParseInt(arg.substr(std::strlen("--top=")), &top, 1)) {
+        UsageError(kTool, "--top must be a positive integer");
       }
     } else if (!arg.empty() && arg[0] == '-') {
       if (!HandleCommonFlag(kTool, arg)) {

@@ -8,53 +8,9 @@
 //   svmsim --app=lu --protocol=lrc --nodes=64 --scale=paper --trace=lu.json
 //   svmsim --list
 //
-// Flags:
-//   --app=NAME            lu | sor | water-nsq | water-sp | raytrace
-//   --protocol=NAME       lrc | olrc | hlrc | ohlrc | erc | aurc
-//   --nodes=N             node count (default 8)
-//   --scale=S             tiny | default | paper
-//   --page-size=BYTES     SVM page size (default 4096)
-//   --home=POLICY         block | round-robin | single-node
-//   --diff-policy=P       eager | lazy (homeless protocols)
-//   --gc-threshold=BYTES  homeless GC trigger (default 4 MiB)
-//   --migrate-homes       enable dynamic home migration (home-based)
-//   --trace=FILE.json     write a chrome://tracing execution trace (causal
-//                         span slices, flow arrows and metric counter tracks;
-//                         distinct from a --record-trace workload trace)
-//   --per-node            print the per-node breakdown table
-//   --no-verify           skip result verification
-//   --verbose             print a host wall-clock summary after the report
-//                         (events processed, events/sec, peak RSS)
-//   --seed=N              root seed (application inputs + fault injector)
-//
-// Workload capture & replay (docs/WORKLOADS.md):
-//   --record-trace=FILE   record the run's shared-access/sync workload into
-//                         a trace file (pure observation; timing unchanged)
-//   --replay-trace=FILE   replay a recorded trace instead of running an app
-//                         (defaults --nodes/--page-size to the trace header;
-//                         combine with --protocol to cross-replay)
-//
-// Observability (docs/OBSERVABILITY.md):
-//   --metrics-out=FILE    write a versioned JSON run summary (latency
-//                         histograms, time-series samples, hot pages, causal
-//                         spans)
-//   --sample-interval=US  metrics sampler period in simulated microseconds
-//                         (default 1000; implies metrics collection)
-//
-// Fault injection & reliable delivery (docs/FAULTS.md):
-//   --fault-drop=P        drop each message with probability P
-//   --fault-dup=P         duplicate each message with probability P
-//   --fault-delay=P       delay each message with probability P
-//   --fault-corrupt=P     corrupt-and-drop each message with probability P
-//   --fault-seed=N        injector seed (default: derived from --seed)
-//   --partition=a-b@t0..t1  partition node lists a and b during [t0,t1) ms
-//                           (repeatable; empty b = rest of the machine)
-//   --reliable            enable ack/retransmit delivery (implied by faults)
-//   --retry-timeout=US    retransmit timeout in microseconds (default 10000)
-//   --retry-max=N         retransmissions per message before aborting
-//   --coalesce            coalesced wire plane (frame packing, ack
-//                         piggybacking, request combining)
-//   --barrier-arity=N     combining barrier tree of arity N (0 = flat)
+// The flag list is kTool's usage text below, the one copy `--help` prints;
+// docs/WORKLOADS.md, docs/OBSERVABILITY.md and docs/FAULTS.md cover the
+// workload, observability and fault flags in depth.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -82,36 +38,26 @@
 namespace hlrc {
 namespace {
 
+// Everything the run itself uses lives in `cfg`; the other fields are the
+// tool's own (what to run and what to print), plus the markers the replay
+// defaults and the seed derivation need.
 struct Options {
+  SimConfig cfg;
   std::string app = "sor";
   bool app_set = false;
   std::string record_trace_path;
   std::string replay_trace_path;
-  ProtocolKind protocol = ProtocolKind::kHlrc;
-  int nodes = 8;
   bool nodes_set = false;
   bool page_size_set = false;
   AppScale scale = AppScale::kDefault;
-  int64_t page_size = 4096;
-  HomePolicy home = HomePolicy::kBlock;
-  DiffPolicy diff_policy = DiffPolicy::kEager;
-  int64_t gc_threshold = 4ll << 20;
   std::string trace_path;
   std::string metrics_path;
   SimTime sample_interval = Millis(1);
-  bool migrate_homes = false;
   bool per_node = false;
   bool verbose = false;
   bool verify = true;
   bool seed_set = false;
-  uint64_t seed = 42;
-  FaultPlan fault;
   bool fault_seed_set = false;
-  bool reliable = false;
-  SimTime retry_timeout = Micros(10000);
-  int retry_max = 12;
-  bool coalesce = false;
-  int barrier_arity = 0;
   bool coverage = false;
 };
 
@@ -158,16 +104,6 @@ const ToolInfo kTool = {
     "  --list                print application and protocol names\n",
 };
 
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") return ProtocolKind::kLrc;
-  if (s == "olrc") return ProtocolKind::kOlrc;
-  if (s == "hlrc") return ProtocolKind::kHlrc;
-  if (s == "ohlrc") return ProtocolKind::kOhlrc;
-  if (s == "erc") return ProtocolKind::kErc;
-  if (s == "aurc") return ProtocolKind::kAurc;
-  UsageError(kTool, "unknown protocol '" + s + "'");
-}
-
 // Peak resident set size of this process, in bytes (0 when unavailable).
 int64_t PeakRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -187,103 +123,99 @@ int64_t PeakRssBytes() {
 
 Options Parse(int argc, char** argv) {
   Options o;
+  SimConfig& cfg = o.cfg;
+  cfg.shared_bytes = 256ll << 20;  // Mirrors are lazily backed; size generously.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
+    // VALUE that does not parse exits 2 naming the flag (an empty branch
+    // below means the matcher already stored the value).
+    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
     auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
+    auto integer = [&](const char* p, auto* out, auto lo) {
+      if (has(p) && !ParseInt(val(p), out, lo)) {
+        UsageError(kTool, arg + ": expected an integer >= " + std::to_string(lo));
+      }
+      return has(p);
+    };
+    auto probability = [&](const char* p, double* out) {
+      if (has(p) && !ParseProbability(val(p), out)) {
+        UsageError(kTool, arg + ": expected a probability in [0, 1]");
+      }
+      return has(p);
+    };
+    auto named = [&](const char* p, auto parse, auto* out) {
+      if (has(p) && !parse(val(p), out)) {
+        UsageError(kTool, arg + ": expected a known name");
+      }
+      return has(p);
+    };
+    auto micros = [&](const char* p, SimTime* out, int64_t lo) {
+      if (has(p) && !ParseMicros(val(p), out, lo)) {
+        UsageError(kTool, arg + ": expected microseconds >= " + std::to_string(lo));
+      }
+      return has(p);
+    };
     if (arg == "--list") {
       std::printf("applications:");
       for (const std::string& a : RegisteredAppNames()) {
         std::printf(" %s", a.c_str());
       }
-      std::printf("\nprotocols: lrc olrc hlrc ohlrc erc aurc\n");
+      std::printf("\nprotocols:");
+      for (const ProtocolSpelling& p : kProtocolSpellings) {
+        std::printf(" %s", p.flag);
+      }
+      std::printf("\n");
       std::exit(0);
-    } else if (arg.rfind("--app=", 0) == 0) {
+    } else if (has("--app=")) {
       o.app = val("--app=");
       o.app_set = true;
-    } else if (arg.rfind("--record-trace=", 0) == 0) {
+    } else if (has("--record-trace=")) {
       o.record_trace_path = val("--record-trace=");
-    } else if (arg.rfind("--replay-trace=", 0) == 0) {
+    } else if (has("--replay-trace=")) {
       o.replay_trace_path = val("--replay-trace=");
-    } else if (arg.rfind("--protocol=", 0) == 0) {
-      o.protocol = ParseProtocol(val("--protocol="));
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      o.nodes = std::atoi(val("--nodes=").c_str());
+    } else if (named("--protocol=", ParseProtocolFlag, &cfg.protocol.kind)) {
+    } else if (integer("--nodes=", &cfg.nodes, 1)) {
       o.nodes_set = true;
-      if (o.nodes <= 0) {
-        UsageError(kTool, "--nodes must be a positive integer");
-      }
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      if (!ParseAppScale(val("--scale="), &o.scale)) {
-        UsageError(kTool, "unknown scale '" + val("--scale=") + "'");
-      }
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      o.page_size = std::atoll(val("--page-size=").c_str());
+    } else if (named("--scale=", ParseAppScale, &o.scale)) {
+    } else if (integer("--page-size=", &cfg.page_size, 1)) {
       o.page_size_set = true;
-      if (o.page_size <= 0) {
-        UsageError(kTool, "--page-size must be a positive integer");
-      }
-    } else if (arg.rfind("--home=", 0) == 0) {
-      if (!ParseHomePolicyName(val("--home="), &o.home)) {
-        UsageError(kTool, "unknown home policy '" + val("--home=") + "'");
-      }
-    } else if (arg.rfind("--diff-policy=", 0) == 0) {
-      const std::string s = val("--diff-policy=");
-      if (s != "eager" && s != "lazy") {
-        UsageError(kTool, "unknown diff policy '" + s + "'");
-      }
-      o.diff_policy = s == "lazy" ? DiffPolicy::kLazy : DiffPolicy::kEager;
-    } else if (arg.rfind("--gc-threshold=", 0) == 0) {
-      o.gc_threshold = std::atoll(val("--gc-threshold=").c_str());
-    } else if (arg.rfind("--trace=", 0) == 0) {
+    } else if (named("--home=", ParseHomePolicyName, &cfg.protocol.home_policy)) {
+    } else if (named("--diff-policy=", ParseDiffPolicyName, &cfg.protocol.diff_policy)) {
+    } else if (integer("--gc-threshold=", &cfg.protocol.gc_threshold_bytes, 1)) {
+    } else if (has("--trace=")) {
       o.trace_path = val("--trace=");
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
+    } else if (has("--metrics-out=")) {
       o.metrics_path = val("--metrics-out=");
-    } else if (arg.rfind("--sample-interval=", 0) == 0) {
-      o.sample_interval = Micros(std::atoll(val("--sample-interval=").c_str()));
-      if (o.sample_interval <= 0) {
-        UsageError(kTool, "--sample-interval must be positive");
-      }
+    } else if (micros("--sample-interval=", &o.sample_interval, 1)) {
     } else if (arg == "--coverage") {
       o.coverage = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      o.seed = static_cast<uint64_t>(std::strtoull(val("--seed=").c_str(), nullptr, 10));
+    } else if (integer("--seed=", &cfg.seed, 0)) {
       o.seed_set = true;
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      o.fault.drop_prob = std::atof(val("--fault-drop=").c_str());
-    } else if (arg.rfind("--fault-dup=", 0) == 0) {
-      o.fault.dup_prob = std::atof(val("--fault-dup=").c_str());
-    } else if (arg.rfind("--fault-delay=", 0) == 0) {
-      o.fault.delay_prob = std::atof(val("--fault-delay=").c_str());
-    } else if (arg.rfind("--fault-corrupt=", 0) == 0) {
-      o.fault.corrupt_prob = std::atof(val("--fault-corrupt=").c_str());
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      o.fault.seed =
-          static_cast<uint64_t>(std::strtoull(val("--fault-seed=").c_str(), nullptr, 10));
+    } else if (probability("--fault-drop=", &cfg.fault.drop_prob) ||
+               probability("--fault-dup=", &cfg.fault.dup_prob) ||
+               probability("--fault-delay=", &cfg.fault.delay_prob) ||
+               probability("--fault-corrupt=", &cfg.fault.corrupt_prob)) {
+    } else if (integer("--fault-seed=", &cfg.fault.seed, 0)) {
       o.fault_seed_set = true;
-    } else if (arg.rfind("--partition=", 0) == 0) {
+    } else if (has("--partition=")) {
       PartitionWindow w;
       std::string err;
       if (!ParsePartitionSpec(val("--partition="), &w, &err)) {
         UsageError(kTool, "bad --partition spec: " + err);
       }
-      o.fault.partitions.push_back(std::move(w));
+      cfg.fault.partitions.push_back(std::move(w));
     } else if (arg == "--reliable") {
-      o.reliable = true;
-    } else if (arg.rfind("--retry-timeout=", 0) == 0) {
-      o.retry_timeout = Micros(std::atoll(val("--retry-timeout=").c_str()));
-      o.reliable = true;
-    } else if (arg.rfind("--retry-max=", 0) == 0) {
-      o.retry_max = std::atoi(val("--retry-max=").c_str());
-      o.reliable = true;
+      cfg.reliability.enabled = true;
+    } else if (micros("--retry-timeout=", &cfg.reliability.retry_timeout, 1)) {
+      cfg.reliability.enabled = true;
+    } else if (integer("--retry-max=", &cfg.reliability.max_retries, 0)) {
+      cfg.reliability.enabled = true;
     } else if (arg == "--coalesce") {
-      o.coalesce = true;
-    } else if (arg.rfind("--barrier-arity=", 0) == 0) {
-      o.barrier_arity = std::atoi(val("--barrier-arity=").c_str());
-      if (o.barrier_arity < 0) {
-        UsageError(kTool, "--barrier-arity must be >= 0");
-      }
+      cfg.network.coalesce = true;
+    } else if (integer("--barrier-arity=", &cfg.protocol.barrier_arity, 0)) {
     } else if (arg == "--migrate-homes") {
-      o.migrate_homes = true;
+      cfg.protocol.migrate_homes = true;
     } else if (arg == "--per-node") {
       o.per_node = true;
     } else if (arg == "--verbose") {
@@ -298,7 +230,8 @@ Options Parse(int argc, char** argv) {
 }
 
 int Main(int argc, char** argv) {
-  const Options o = Parse(argc, argv);
+  Options o = Parse(argc, argv);
+  SimConfig& cfg = o.cfg;
 
   // Replay substitutes the trace for an application and inherits the
   // recorded topology unless flags override it explicitly.
@@ -314,14 +247,6 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "cannot replay: %s\n", err.c_str());
       return 2;
     }
-  }
-
-  SimConfig cfg;
-  cfg.nodes = o.nodes;
-  cfg.page_size = o.page_size;
-  cfg.shared_bytes = 256ll << 20;
-  cfg.seed = o.seed;
-  if (replay_app != nullptr) {
     const wkld::TraceInfo& info = replay_app->info();
     if (!o.nodes_set) {
       cfg.nodes = info.nodes;
@@ -333,33 +258,18 @@ int Main(int argc, char** argv) {
       cfg.shared_bytes = info.shared_bytes;
     }
   }
-  cfg.protocol.kind = o.protocol;
-  cfg.protocol.home_policy = o.home;
-  cfg.protocol.diff_policy = o.diff_policy;
-  cfg.protocol.gc_threshold_bytes = o.gc_threshold;
-  cfg.protocol.migrate_homes = o.migrate_homes;
 
   // One root seed feeds every Rng consumer: application inputs and the fault
   // injector draw distinct derived seeds, unless overridden explicitly.
   Rng root(cfg.seed);
   const uint64_t app_seed = root.NextU64();
   const uint64_t derived_fault_seed = root.NextU64();
-  cfg.fault = o.fault;
   if (!o.fault_seed_set) {
     cfg.fault.seed = derived_fault_seed;
   }
-  if (o.reliable || cfg.fault.Active()) {
-    cfg.reliability.enabled = true;
-    cfg.reliability.retry_timeout = o.retry_timeout;
-    cfg.reliability.max_retries = o.retry_max;
+  if (cfg.fault.Active()) {
+    cfg.reliability.enabled = true;  // Faults imply reliable delivery.
   }
-  if (o.coalesce) {
-    cfg.network.coalesce = true;
-    cfg.protocol.coalesce = true;
-    // Ack piggybacking only matters once acks exist at all.
-    cfg.reliability.piggyback_acks = cfg.reliability.enabled;
-  }
-  cfg.protocol.barrier_arity = o.barrier_arity;
 
   std::unique_ptr<App> app;
   if (replay_app != nullptr) {
@@ -395,13 +305,13 @@ int Main(int argc, char** argv) {
   std::unique_ptr<fuzz::CoverageMap> coverage;
   if (o.coverage) {
     coverage = std::make_unique<fuzz::CoverageMap>(
-        static_cast<uint64_t>(o.protocol) + 1);
+        static_cast<uint64_t>(cfg.protocol.kind) + 1);
     sys.SetCoverageObserver(coverage.get());
   }
   std::unique_ptr<wkld::TraceWriter> trace_writer;
   std::unique_ptr<wkld::TraceRecorder> recorder;
   if (!o.record_trace_path.empty()) {
-    const std::string meta = std::string("protocol=") + ProtocolName(o.protocol) +
+    const std::string meta = std::string("protocol=") + ProtocolName(cfg.protocol.kind) +
                              " seed=" + std::to_string(cfg.seed);
     trace_writer = std::make_unique<wkld::TraceWriter>(
         o.record_trace_path, wkld::MakeTraceInfo(cfg, app->name(), meta));
@@ -427,8 +337,9 @@ int Main(int argc, char** argv) {
   const NodeReport totals = report.Totals();
 
   std::printf("%s under %s on %d nodes (%s scale, %lld B pages, %s homes)\n",
-              app->name().c_str(), ProtocolName(o.protocol), o.nodes, AppScaleName(o.scale),
-              static_cast<long long>(o.page_size), HomePolicyName(o.home));
+              app->name().c_str(), ProtocolName(cfg.protocol.kind), cfg.nodes,
+              AppScaleName(o.scale), static_cast<long long>(cfg.page_size),
+              HomePolicyName(cfg.protocol.home_policy));
   char app_seed_str[32] = "builtin";  // No --seed: apps keep their fixed inputs.
   if (o.seed_set) {
     std::snprintf(app_seed_str, sizeof(app_seed_str), "%llu",
@@ -445,10 +356,12 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(cfg.reliability.retry_timeout / 1000),
                 cfg.reliability.retry_backoff, cfg.reliability.max_retries);
   }
-  if (o.coalesce || o.barrier_arity >= 2) {
+  const bool coalesce = cfg.network.coalesce;
+  const bool wire_plane = coalesce || cfg.protocol.barrier_arity >= 2;
+  if (wire_plane) {
     std::printf("wire plane: coalesce=%s piggyback=%s barrier-arity=%d\n",
-                o.coalesce ? "on" : "off",
-                cfg.reliability.piggyback_acks ? "on" : "off", o.barrier_arity);
+                coalesce ? "on" : "off", coalesce && cfg.reliability.enabled ? "on" : "off",
+                cfg.protocol.barrier_arity);
   }
   std::printf("verification: %s%s\n\n", verified ? "OK" : "FAILED ",
               verified ? "" : why.c_str());
@@ -473,7 +386,7 @@ int Main(int argc, char** argv) {
     summary.AddRow({"Duplicates dropped", Table::Fmt(totals.traffic.msgs_duplicated_dropped)});
     summary.AddRow({"Acks", Table::Fmt(totals.traffic.acks_sent)});
   }
-  if (o.coalesce || o.barrier_arity >= 2) {
+  if (wire_plane) {
     summary.AddRow({"Coalesced frames", Table::Fmt(totals.traffic.frames_coalesced)});
     summary.AddRow({"Messages coalesced", Table::Fmt(totals.traffic.msgs_coalesced)});
     summary.AddRow({"Acks piggybacked", Table::Fmt(totals.traffic.acks_piggybacked)});
@@ -519,7 +432,7 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(sys.spans()->dropped()));
   }
   if (coverage != nullptr) {
-    std::printf("\nprotocol-state coverage (%s):\n%s", ProtocolName(o.protocol),
+    std::printf("\nprotocol-state coverage (%s):\n%s", ProtocolName(cfg.protocol.kind),
                 coverage->Report().c_str());
   }
   if (!o.metrics_path.empty()) {
