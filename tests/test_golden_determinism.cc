@@ -2,8 +2,11 @@
 // statistics for a fixed configuration, run to run and commit to commit.
 //
 // A Table-2-style summary (virtual time plus the operation/traffic totals
-// behind the paper's tables) is pinned for the four protocol families on 8
-// nodes to tests/golden/summary_8nodes.txt. Any change to scheduling,
+// behind the paper's tables) is pinned on 8 nodes to
+// tests/golden/summary_8nodes.txt: every protocol family on sor, lu,
+// water-nsq and raytrace, plus runs that force the paths the default
+// configuration never takes (homeless garbage collection, home migration).
+// Any change to scheduling,
 // protocol logic, cost model or network timing that alters behavior shows up
 // as a diff of that file — intentional changes are re-pinned with
 //
@@ -27,6 +30,7 @@
 #include "src/wkld/recorder.h"
 #include "src/wkld/replay.h"
 #include "src/wkld/trace_file.h"
+#include "tests/test_util.h"
 
 namespace hlrc {
 namespace {
@@ -35,14 +39,24 @@ constexpr int kNodes = 8;
 
 std::string FormatSummary(const std::string& app_name, ProtocolKind kind, const RunReport& report);
 
-std::string SummaryLine(const std::string& app_name, ProtocolKind kind) {
-  std::unique_ptr<App> app = MakeApp(app_name, AppScale::kTiny);
+SimConfig GoldenConfig(ProtocolKind kind) {
   SimConfig cfg;
   cfg.nodes = kNodes;
   cfg.protocol.kind = kind;
+  return cfg;
+}
+
+// One run of `app_name` under `cfg`, which must verify.
+RunReport GoldenRun(const std::string& app_name, const SimConfig& cfg) {
+  std::unique_ptr<App> app = MakeApp(app_name, AppScale::kTiny);
   const AppRunResult r = RunApp(*app, cfg);
-  EXPECT_TRUE(r.verified) << app_name << " under " << ProtocolName(kind) << ": " << r.why;
-  return FormatSummary(app_name, kind, r.report);
+  EXPECT_TRUE(r.verified) << app_name << " under " << ProtocolName(cfg.protocol.kind) << ": "
+                          << r.why;
+  return r.report;
+}
+
+std::string SummaryLine(const std::string& app_name, ProtocolKind kind) {
+  return FormatSummary(app_name, kind, GoldenRun(app_name, GoldenConfig(kind)));
 }
 
 // Same run with the metrics layer enabled: recording must be pure
@@ -98,12 +112,42 @@ std::string FormatSummary(const std::string& app_name, ProtocolKind kind,
 }
 
 std::string BuildSummary() {
-  const ProtocolKind kProtocols[] = {ProtocolKind::kLrc, ProtocolKind::kOlrc,
-                                     ProtocolKind::kHlrc, ProtocolKind::kOhlrc};
+  using testing::AllProtocols;
+  using testing::PaperProtocols;
   std::ostringstream os;
-  for (const std::string& app : {std::string("sor"), std::string("lu")}) {
-    for (ProtocolKind kind : kProtocols) {
+  for (const std::string app : {"sor", "lu"}) {
+    for (ProtocolKind kind : PaperProtocols()) {
       os << SummaryLine(app, kind) << "\n";
+    }
+  }
+  for (const std::string app : {"sor", "lu"}) {
+    for (ProtocolKind kind : {ProtocolKind::kErc, ProtocolKind::kAurc}) {
+      os << SummaryLine(app, kind) << "\n";
+    }
+  }
+  // Lock-based apps: the only default-configuration rows where HLRC diffs.
+  for (const std::string app : {"water-nsq", "raytrace"}) {
+    for (ProtocolKind kind : AllProtocols()) {
+      os << SummaryLine(app, kind) << "\n";
+    }
+  }
+  // Forced garbage collection in the homeless protocols.
+  for (const std::string app : {"water-nsq", "lu"}) {
+    for (ProtocolKind kind : {ProtocolKind::kLrc, ProtocolKind::kOlrc}) {
+      SimConfig cfg = GoldenConfig(kind);
+      cfg.protocol.gc_threshold_bytes = 4096;
+      const RunReport report = GoldenRun(app, cfg);
+      os << FormatSummary(app, kind, report)
+         << " gc_threshold=4096 gc_runs=" << report.Totals().proto.gc_runs << "\n";
+    }
+  }
+  // Every page homed on node 0, with migration to a stable remote writer.
+  for (const std::string app : {"sor", "lu"}) {
+    for (ProtocolKind kind : {ProtocolKind::kHlrc, ProtocolKind::kOhlrc, ProtocolKind::kAurc}) {
+      SimConfig cfg = GoldenConfig(kind);
+      cfg.protocol.home_policy = HomePolicy::kSingleNode;
+      cfg.protocol.migrate_homes = true;
+      os << FormatSummary(app, kind, GoldenRun(app, cfg)) << " home=single-node migrate_homes\n";
     }
   }
   return os.str();
