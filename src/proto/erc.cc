@@ -8,10 +8,7 @@ void ErcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
   std::vector<Diff> diffs;
   int64_t update_bytes = 0;
   for (PageId p : rec->pages) {
-    HLRC_CHECK(pages().HasTwin(p));
-    Diff d = CreateDiff(p, pages().State(p).twin.get(), pages().PageData(p),
-                        pages().page_size(), env().options->diff_word_bytes);
-    pages().DropTwin(p);
+    Diff d = TakeTwinDiff(p);
     if (d.Empty()) {
       continue;
     }
@@ -37,8 +34,8 @@ void ErcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
   // messages only leave after the diff costs have been charged.
   const uint64_t flush_id = next_flush_id_++;
   flushes_[flush_id] = nodes() - 1;
-  actions->post = [this, flush_id, diffs = std::move(diffs), update_bytes,
-                   cause = interval_close_span()]() mutable {
+  actions->post.push_back([this, flush_id, diffs = std::move(diffs), update_bytes,
+                           cause = interval_close_span()] {
     SpanCause sc(this, cause);
     // Broadcast the updates to every other copy (all nodes hold copies:
     // nothing is ever invalidated under an update protocol). The flush is
@@ -48,14 +45,13 @@ void ErcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
       if (n == self()) {
         continue;
       }
-      ++updates_broadcast_;
       auto payload = std::make_unique<ErcUpdatePayload>();
       payload->writer = self();
       payload->flush_id = flush_id;
       payload->diffs = diffs;  // Copy: one message per receiver.
       Send(n, MsgType::kDiffFlush, update_bytes, 16, std::move(payload));
     }
-  };
+  });
 }
 
 void ErcProtocol::FlushBarrier(std::function<void()> done) {
@@ -90,9 +86,7 @@ Task<void> ErcProtocol::ResolveFault(PageId page, bool write) {
   }
 }
 
-void ErcProtocol::HandleUpdate(NodeId writer, uint64_t flush_id, std::vector<Diff> diffs,
-                               int64_t apply_bytes) {
-  (void)apply_bytes;
+void ErcProtocol::HandleUpdate(NodeId writer, uint64_t flush_id, std::vector<Diff> diffs) {
   for (const Diff& d : diffs) {
     ApplyDiff(d, pages().PageData(d.page), pages().page_size());
     if (pages().HasTwin(d.page)) {
@@ -124,8 +118,6 @@ void ErcProtocol::HandleAck(uint64_t flush_id) {
 }
 
 void ErcProtocol::HandleProtocolMessage(Message msg) {
-  const SpanId cause = msg.span;
-  const SimTime t_arrive = engine()->Now();
   switch (msg.type) {
     case MsgType::kDiffFlush: {
       auto* p = static_cast<ErcUpdatePayload*>(msg.payload.get());
@@ -134,27 +126,21 @@ void ErcProtocol::HandleProtocolMessage(Message msg) {
         apply_bytes += d.DataBytes();
       }
       // Update application interrupts the receiving compute processor — the
-      // core cost of an eager update protocol.
-      Serve(/*on_coproc=*/false, /*interrupt=*/true,
-            costs().DiffApplyCost(apply_bytes), BusyCat::kDiffApply,
-            [this, cause, t_arrive, writer = p->writer, flush_id = p->flush_id,
-             diffs = std::move(p->diffs), apply_bytes]() mutable {
-              // The ack sent by HandleUpdate inherits this context, so the
-              // writer's flush barrier chains through the apply.
-              SpanCause sc(this, SpanEmit(SpanKind::kDiffApply, t_arrive, cause,
-                                          static_cast<int64_t>(flush_id)));
-              HandleUpdate(writer, flush_id, std::move(diffs), apply_bytes);
+      // core cost of an eager update protocol. The ack sent by HandleUpdate
+      // inherits the apply span, so the writer's flush barrier chains
+      // through it.
+      Serve(msg, Route::kRequest, costs().DiffApplyCost(apply_bytes), BusyCat::kDiffApply,
+            static_cast<int64_t>(p->flush_id),
+            [this, writer = p->writer, flush_id = p->flush_id,
+             diffs = std::move(p->diffs)]() mutable {
+              HandleUpdate(writer, flush_id, std::move(diffs));
             });
       return;
     }
     case MsgType::kDiffReply: {
       auto* p = static_cast<ErcAckPayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/false, 0, BusyCat::kService,
-            [this, cause, t_arrive, flush_id = p->flush_id] {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause,
-                                          static_cast<int64_t>(flush_id)));
-              HandleAck(flush_id);
-            });
+      Serve(msg, Route::kReply, 0, BusyCat::kService, static_cast<int64_t>(p->flush_id),
+            [this, flush_id = p->flush_id] { HandleAck(flush_id); });
       return;
     }
     default:

@@ -25,8 +25,6 @@ class ErcProtocol : public ProtocolNode {
  public:
   explicit ErcProtocol(const Env& env) : ProtocolNode(env) {}
 
-  int64_t updates_broadcast() const { return updates_broadcast_; }
-
  protected:
   void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
   bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
@@ -37,8 +35,7 @@ class ErcProtocol : public ProtocolNode {
   void FlushBarrier(std::function<void()> done) override;
 
  private:
-  void HandleUpdate(NodeId writer, uint64_t flush_id, std::vector<Diff> diffs,
-                    int64_t apply_bytes);
+  void HandleUpdate(NodeId writer, uint64_t flush_id, std::vector<Diff> diffs);
   void HandleAck(uint64_t flush_id);
 
   uint64_t next_flush_id_ = 1;
@@ -46,7 +43,6 @@ class ErcProtocol : public ProtocolNode {
   std::unordered_map<uint64_t, int> flushes_;
   // Continuations gated on all flushes being acknowledged.
   std::vector<std::function<void()>> flush_waiters_;
-  int64_t updates_broadcast_ = 0;
 };
 
 // Payloads.

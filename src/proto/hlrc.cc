@@ -1,7 +1,6 @@
 #include "src/proto/hlrc.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 namespace hlrc {
@@ -73,13 +72,11 @@ bool HlrcProtocol::AppliedSatisfies(PageId page, const Required& required) const
 
 void HlrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
   PageList kept;
-  std::vector<std::function<void()>> flushes;          // Non-overlapped sends.
-  std::vector<std::pair<SimTime, std::function<void()>>> cop_work;  // Overlapped.
-
   for (PageId p : rec->pages) {
-    // Flushes always route via the static home; if the page migrated, the
-    // static home forwards along a fixed path, preserving per-writer order.
-    const NodeId home = HomeOf(p);
+    // The home-effect test uses the believed home: a node that just became
+    // the home via migration made no twin. Flushes still route via the
+    // static home, which forwards along a fixed path after a migration,
+    // preserving per-writer order.
     if (IsHomeHere(p)) {
       HLRC_CHECK(!pages().HasTwin(p));
       SetApplied(p, self(), rec->id);
@@ -87,67 +84,72 @@ void HlrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) 
       kept.push_back(p);
       continue;
     }
-    HLRC_CHECK(pages().HasTwin(p));
-    Diff d = CreateDiff(p, pages().State(p).twin.get(), pages().PageData(p),
-                        pages().page_size(), env().options->diff_word_bytes);
-    pages().DropTwin(p);
+    Diff d = TakeTwinDiff(p);
     if (d.Empty()) {
       continue;  // Nothing changed: no write notice, no flush.
     }
     kept.push_back(p);
-    ++stats_.diffs_created;
-    MetricDiffCreated(p, d.DataBytes());
     // A later fetch of this page must not return a home copy that predates
     // our own flush, or our writes would be lost: require our own interval.
     UpdateRequired(p, self(), rec->id);
-    const SimTime create_cost = costs().DiffCreateCost(pages().page_size(), d.DataBytes());
-    const int64_t diff_bytes = d.EncodedSize();
-    inflight_diff_bytes_ += diff_bytes;
-    NoteMemory();
-
-    auto send_flush = [this, home, p, id = rec->id, diff_bytes,
-                       cause = interval_close_span(),
-                       diff = std::make_shared<Diff>(std::move(d))] {
-      // The flush is causally part of the interval close, not of whatever
-      // message happens to be in service when the co-processor finishes.
-      SpanCause sc(this, cause);
-      auto payload = std::make_unique<DiffFlushPayload>();
-      payload->writer = self();
-      payload->page = p;
-      payload->interval = id;
-      payload->diff = std::move(*diff);
-      inflight_diff_bytes_ -= diff_bytes;
-      Send(home, MsgType::kDiffFlush, diff_bytes, 16, std::move(payload));
-    };
-
-    if (overlapped()) {
-      cop_work.emplace_back(create_cost, std::move(send_flush));
-    } else {
-      actions->diff_cost += create_cost;
-      flushes.push_back(std::move(send_flush));
-    }
+    ShipDiff(p, rec->id, std::move(d), actions);
   }
   rec->pages = std::move(kept);
+}
 
-  if (!flushes.empty() || !cop_work.empty()) {
-    actions->post = [this, flushes = std::move(flushes), cop_work = std::move(cop_work),
-                     cause = interval_close_span()] {
-      // Non-overlapped: diffs were computed on the compute processor (cost
-      // already charged); send them now, one message per diff (paper §4.6).
-      for (const auto& send : flushes) {
-        send();
-      }
-      // Overlapped: the co-processor computes each diff and sends it to the
-      // home when done; the compute processor continues immediately.
-      for (const auto& [cost, send] : cop_work) {
-        const SimTime t0 = engine()->Now();
-        env().cop->RunService(cost, BusyCat::kDiffCreate, [this, t0, cause, send] {
-          SpanEmit(SpanKind::kDiffCreate, t0, cause);
-          send();
-        });
-      }
-    };
+void HlrcProtocol::ShipDiff(PageId page, uint32_t interval, Diff diff, CloseActions* actions) {
+  ++stats_.diffs_created;
+  MetricDiffCreated(page, diff.DataBytes());
+  const SimTime create_cost = costs().DiffCreateCost(pages().page_size(), diff.DataBytes());
+  const int64_t diff_bytes = diff.EncodedSize();
+  inflight_diff_bytes_ += diff_bytes;
+  NoteMemory();
+
+  const SpanId cause = interval_close_span();
+  auto send = [this, home = HomeOf(page), page, interval, diff_bytes, cause,
+               diff = std::make_shared<Diff>(std::move(diff))] {
+    // The flush is causally part of the interval close, not of whatever
+    // message happens to be in service when the co-processor finishes.
+    SpanCause sc(this, cause);
+    inflight_diff_bytes_ -= diff_bytes;
+    SendDiffFlush(home, self(), page, interval, std::move(*diff), diff_bytes);
+  };
+  if (!overlapped()) {
+    // Computed on the compute processor with the close; sent right after,
+    // one message per diff (paper §4.6).
+    actions->diff_cost += create_cost;
+    actions->post.push_back(std::move(send));
+    return;
   }
+  // Overlapped: the co-processor computes the diff and sends it to the home
+  // when done; the compute processor continues immediately.
+  actions->post.push_back([this, create_cost, cause, send = std::move(send)] {
+    const SimTime t0 = engine()->Now();
+    env().cop->RunService(create_cost, BusyCat::kDiffCreate, [this, t0, cause, send] {
+      SpanEmit(SpanKind::kDiffCreate, t0, cause);
+      send();
+    });
+  });
+}
+
+void HlrcProtocol::SendDiffFlush(NodeId dst, NodeId writer, PageId page, uint32_t interval,
+                                 Diff diff, int64_t update_bytes) {
+  auto payload = std::make_unique<DiffFlushPayload>();
+  payload->writer = writer;
+  payload->page = page;
+  payload->interval = interval;
+  payload->diff = std::move(diff);
+  Send(dst, MsgType::kDiffFlush, update_bytes, 16, std::move(payload));
+}
+
+void HlrcProtocol::SendPageRequest(NodeId dst, PageId page, NodeId requester,
+                                   Required required) {
+  const int64_t bytes = 16 + 8 * static_cast<int64_t>(required.size());
+  auto payload = std::make_unique<HomePageRequestPayload>();
+  payload->page = page;
+  payload->requester = requester;
+  payload->required = std::move(required);
+  Send(dst, MsgType::kPageRequest, 0, bytes, std::move(payload));
 }
 
 // ---------------------------------------------------------------------------
@@ -210,19 +212,12 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
         FaultWait& fw = fault_waiting_[page];
         fw.done = std::make_unique<Completion>(engine());
 
-        auto payload = std::make_unique<HomePageRequestPayload>();
-        payload->page = page;
-        payload->requester = self();
-        const Required* req = RequiredOf(page);
-        if (req != nullptr) {
-          payload->required = *req;
-        }
-        const int64_t req_bytes = 16 + 8 * static_cast<int64_t>(payload->required.size());
         {
           // Chain the request from the fault root (scoped: the context must
           // not survive across the suspension below).
           SpanCause sc(this, cur_fault_span_);
-          Send(home, MsgType::kPageRequest, 0, req_bytes, std::move(payload));
+          const Required* req = RequiredOf(page);
+          SendPageRequest(home, page, self(), req != nullptr ? *req : Required());
         }
 
         co_await *fw.done;
@@ -263,21 +258,6 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
   }
 }
 
-void HlrcProtocol::InstallPageData(PageId page, const std::vector<std::byte>& data) {
-  HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
-  std::byte* dst = pages().PageData(page);
-  if (pages().HasTwin(page)) {
-    // Preserve local writes of the open interval (multiple-writer pages).
-    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
-                            env().options->diff_word_bytes);
-    std::memcpy(dst, data.data(), data.size());
-    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
-    ApplyDiff(local, dst, pages().page_size());
-  } else {
-    std::memcpy(dst, data.data(), data.size());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Home-side servicing.
 
@@ -286,13 +266,7 @@ void HlrcProtocol::HandleDiffFlush(NodeId writer, PageId page, uint32_t interval
   if (!IsHomeHere(page)) {
     // The page's home migrated away: forward along the (fixed) chain. FIFO
     // per network pair keeps each writer's diffs ordered end to end.
-    auto payload = std::make_unique<DiffFlushPayload>();
-    payload->writer = writer;
-    payload->page = page;
-    payload->interval = interval;
-    payload->diff = diff;
-    Send(BelievedHomeOf(page), MsgType::kDiffFlush, diff.EncodedSize(), 16,
-         std::move(payload));
+    SendDiffFlush(BelievedHomeOf(page), writer, page, interval, diff, diff.EncodedSize());
     return;
   }
   if (env().options->mutation == TestMutation::kHlrcSkipDiffApply && !mutation_fired_ &&
@@ -337,10 +311,8 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
   // A stable remote single writer: hand it the home so its future writes hit
   // the home effect (no twins, no diffs, no flushes).
   writer_streak_.erase(page);
-  ++homes_migrated_;
   auto payload = std::make_unique<HomeTransferPayload>();
   payload->page = page;
-  payload->old_home = self();
   payload->data.assign(pages().PageData(page), pages().PageData(page) + pages().page_size());
   auto ait = applied_flush_.find(page);
   if (ait != applied_flush_.end()) {
@@ -356,12 +328,7 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
     std::vector<PendingReq> reqs = std::move(pit->second);
     pending_reqs_.erase(pit);
     for (PendingReq& req : reqs) {
-      auto fwd = std::make_unique<HomePageRequestPayload>();
-      fwd->page = page;
-      fwd->requester = req.requester;
-      fwd->required = std::move(req.required);
-      const int64_t fwd_bytes = 16 + 8 * static_cast<int64_t>(fwd->required.size());
-      Send(writer, MsgType::kPageRequest, 0, fwd_bytes, std::move(fwd));
+      SendPageRequest(writer, page, req.requester, std::move(req.required));
     }
   }
   const int64_t transfer_bytes = 16 + 4 * static_cast<int64_t>(payload->applied.size());
@@ -369,10 +336,8 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
        std::move(payload));
 }
 
-void HlrcProtocol::HandleHomeTransfer(PageId page, NodeId old_home,
-                                      const std::vector<std::byte>& data,
+void HlrcProtocol::HandleHomeTransfer(PageId page, const std::vector<std::byte>& data,
                                       const std::vector<uint32_t>& applied) {
-  (void)old_home;
   // Become the page's home: adopt the master copy (rebasing any local open
   // writes) and the applied-flush state.
   InstallPageData(page, data);
@@ -408,12 +373,7 @@ void HlrcProtocol::WakeLocalFaultIfReady(PageId page) {
 
 void HlrcProtocol::HandlePageRequest(PageId page, NodeId requester, Required required) {
   if (!IsHomeHere(page)) {
-    auto fwd = std::make_unique<HomePageRequestPayload>();
-    fwd->page = page;
-    fwd->requester = requester;
-    fwd->required = std::move(required);
-    const int64_t fwd_bytes = 16 + 8 * static_cast<int64_t>(fwd->required.size());
-    Send(BelievedHomeOf(page), MsgType::kPageRequest, 0, fwd_bytes, std::move(fwd));
+    SendPageRequest(BelievedHomeOf(page), page, requester, std::move(required));
     return;
   }
   if (AppliedSatisfies(page, required)) {
@@ -485,40 +445,30 @@ void HlrcProtocol::ServePendingRequests(PageId page) {
 }
 
 void HlrcProtocol::HandleProtocolMessage(Message msg) {
-  const SpanId cause = msg.span;
-  const SimTime t_arrive = engine()->Now();
   switch (msg.type) {
     case MsgType::kDiffFlush: {
       auto* p = static_cast<DiffFlushPayload*>(msg.payload.get());
       const SimTime cost = costs().DiffApplyCost(p->diff.DataBytes());
       // Applying the diff at the home: co-processor under OHLRC, interrupt +
       // compute processor under HLRC.
-      ServeDataRequest(cost, BusyCat::kDiffApply,
-                       [this, cause, t_arrive, writer = p->writer, page = p->page,
-                        interval = p->interval, diff = std::move(p->diff)] {
-                         SpanCause sc(this,
-                                      SpanEmit(SpanKind::kDiffApply, t_arrive, cause, page));
-                         HandleDiffFlush(writer, page, interval, diff);
-                       });
+      Serve(msg, Route::kData, cost, BusyCat::kDiffApply, p->page,
+            [this, writer = p->writer, page = p->page, interval = p->interval,
+             diff = std::move(p->diff)] { HandleDiffFlush(writer, page, interval, diff); });
       return;
     }
     case MsgType::kPageRequest: {
       auto* p = static_cast<HomePageRequestPayload*>(msg.payload.get());
-      ServeDataRequest(costs().service_fixed, BusyCat::kService,
-                       [this, cause, t_arrive, page = p->page, requester = p->requester,
-                        required = std::move(p->required)]() mutable {
-                         SpanCause sc(this,
-                                      SpanEmit(SpanKind::kService, t_arrive, cause, page));
-                         HandlePageRequest(page, requester, std::move(required));
-                       });
+      Serve(msg, Route::kData, costs().service_fixed, BusyCat::kService, p->page,
+            [this, page = p->page, requester = p->requester,
+             required = std::move(p->required)]() mutable {
+              HandlePageRequest(page, requester, std::move(required));
+            });
       return;
     }
     case MsgType::kPageReply: {
       auto* p = static_cast<HomePageReplyPayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/false, 0, BusyCat::kService,
-            [this, cause, t_arrive, page = p->page, home = p->home,
-             data = std::move(p->data)]() mutable {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, page));
+      Serve(msg, Route::kReply, 0, BusyCat::kService, p->page,
+            [this, page = p->page, home = p->home, data = std::move(p->data)]() mutable {
               if (home != self() && (home != HomeOf(page) || home_override_.count(page) != 0)) {
                 home_override_[page] = home;  // Path shortening after migration.
               }
@@ -536,27 +486,16 @@ void HlrcProtocol::HandleProtocolMessage(Message msg) {
     }
     case MsgType::kHomeTransfer: {
       auto* p = static_cast<HomeTransferPayload*>(msg.payload.get());
-      ServeDataRequest(costs().service_fixed, BusyCat::kService,
-                       [this, cause, t_arrive, page = p->page, old_home = p->old_home,
-                        data = std::move(p->data), applied = std::move(p->applied)] {
-                         SpanCause sc(this,
-                                      SpanEmit(SpanKind::kService, t_arrive, cause, page));
-                         HandleHomeTransfer(page, old_home, data, applied);
-                       });
+      Serve(msg, Route::kData, costs().service_fixed, BusyCat::kService, p->page,
+            [this, page = p->page, data = std::move(p->data), applied = std::move(p->applied)] {
+              HandleHomeTransfer(page, data, applied);
+            });
       return;
     }
     default:
       HLRC_CHECK_MSG(false, "HLRC node %d: unexpected message type %d", self(),
                      static_cast<int>(msg.type));
   }
-}
-
-int64_t HlrcProtocol::pending_request_count() const {
-  int64_t n = 0;
-  for (const auto& [page, reqs] : pending_reqs_) {
-    n += static_cast<int64_t>(reqs.size());
-  }
-  return n;
 }
 
 int64_t HlrcProtocol::SubclassMemoryBytes() const {

@@ -27,10 +27,6 @@ class HlrcProtocol : public ProtocolNode {
  public:
   explicit HlrcProtocol(const Env& env) : ProtocolNode(env) {}
 
-  // Test/bench introspection.
-  int64_t pending_request_count() const;
-  int64_t homes_migrated() const { return homes_migrated_; }
-
  protected:
   void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
   bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
@@ -41,6 +37,12 @@ class HlrcProtocol : public ProtocolNode {
   // Cost of capturing writes on a page (twin creation). The AURC subclass
   // overrides this to zero: automatic-update hardware snoops the bus.
   virtual SimTime WriteCaptureCost() const { return costs().TwinCost(pages().page_size()); }
+
+  // How the diff of a non-home page leaves this node at interval close
+  // (after the required-flush bookkeeping). HLRC charges its creation — on
+  // the compute processor, or the co-processor when overlapped — and
+  // flushes it to the home afterwards; AURC overrides it.
+  virtual void ShipDiff(PageId page, uint32_t interval, Diff diff, CloseActions* actions);
 
   using Required = std::vector<std::pair<NodeId, uint32_t>>;
   // Immutable page snapshot shared between replies (request combining) and
@@ -85,9 +87,13 @@ class HlrcProtocol : public ProtocolNode {
   uint32_t GetApplied(PageId page, NodeId writer) const;
   bool AppliedSatisfies(PageId page, const Required& required) const;
 
+  void SendDiffFlush(NodeId dst, NodeId writer, PageId page, uint32_t interval, Diff diff,
+                     int64_t update_bytes);
+  void SendPageRequest(NodeId dst, PageId page, NodeId requester, Required required);
+
   void HandleDiffFlush(NodeId writer, PageId page, uint32_t interval, const Diff& diff);
   void MaybeMigrateHome(PageId page, NodeId writer);
-  void HandleHomeTransfer(PageId page, NodeId old_home, const std::vector<std::byte>& data,
+  void HandleHomeTransfer(PageId page, const std::vector<std::byte>& data,
                           const std::vector<uint32_t>& applied);
   void HandlePageRequest(PageId page, NodeId requester, Required required);
   // `snapshot` is null for a one-off reply (a fresh copy is taken); request
@@ -96,7 +102,6 @@ class HlrcProtocol : public ProtocolNode {
   PageSnapshot SnapshotPage(PageId page);
   void ServePendingRequests(PageId page);
   void WakeLocalFaultIfReady(PageId page);
-  void InstallPageData(PageId page, const std::vector<std::byte>& data);
 
   std::unordered_map<PageId, std::vector<uint32_t>> applied_flush_;
   std::unordered_map<PageId, std::vector<PendingReq>> pending_reqs_;
@@ -111,7 +116,6 @@ class HlrcProtocol : public ProtocolNode {
     int count = 0;
   };
   std::unordered_map<PageId, WriterStreak> writer_streak_;
-  int64_t homes_migrated_ = 0;
 
   // Diffs created but not yet flushed (co-processor still working). Writers
   // discard diffs the moment they are sent (paper §2.3).
@@ -145,7 +149,6 @@ struct HomePageReplyPayload : Payload {
 
 struct HomeTransferPayload : Payload {
   PageId page;
-  NodeId old_home;
   std::vector<std::byte> data;
   std::vector<uint32_t> applied;  // Per-writer applied flush timestamps.
 };

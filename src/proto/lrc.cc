@@ -1,7 +1,6 @@
 #include "src/proto/lrc.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 namespace hlrc {
@@ -13,12 +12,8 @@ namespace hlrc {
 
 void LrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
   PageList kept;
-  std::vector<std::pair<DiffKey, SimTime>> cop_work;
   for (PageId p : rec->pages) {
-    HLRC_CHECK(pages().HasTwin(p));
-    Diff d = CreateDiff(p, pages().State(p).twin.get(), pages().PageData(p),
-                        pages().page_size(), env().options->diff_word_bytes);
-    pages().DropTwin(p);
+    Diff d = TakeTwinDiff(p);
     if (d.Empty()) {
       continue;  // The write changed nothing: no write notice needed.
     }
@@ -46,20 +41,15 @@ void LrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
     latest_diff_id_[p] = rec->id;
 
     if (overlapped()) {
-      cop_work.emplace_back(DiffKey{p, rec->id}, create_cost);
+      actions->post.push_back([this, p, id = rec->id, create_cost] {
+        env().cop->RunService(create_cost, BusyCat::kDiffCreate,
+                              [this, p, id] { MarkDiffReady(p, id); });
+      });
     } else if (!lazy) {
       actions->diff_cost += create_cost;
     }
   }
   rec->pages = std::move(kept);
-  if (!cop_work.empty()) {
-    actions->post = [this, cop_work = std::move(cop_work)] {
-      for (const auto& [key, cost] : cop_work) {
-        env().cop->RunService(cost, BusyCat::kDiffCreate,
-                              [this, key] { MarkDiffReady(key.first, key.second); });
-      }
-    };
-  }
   NoteMemory();
 }
 
@@ -289,22 +279,6 @@ Task<void> LrcProtocol::FetchFullPage(PageId page) {
   PrunePendingCovered(page);
 }
 
-void LrcProtocol::InstallPageData(PageId page, const std::vector<std::byte>& data) {
-  HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
-  std::byte* dst = pages().PageData(page);
-  if (pages().HasTwin(page)) {
-    // Preserve local unflushed writes: reapply the local delta on top of the
-    // incoming copy, and rebase the twin.
-    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
-                            env().options->diff_word_bytes);
-    std::memcpy(dst, data.data(), data.size());
-    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
-    ApplyDiff(local, dst, pages().page_size());
-  } else {
-    std::memcpy(dst, data.data(), data.size());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Remote request servicing.
 
@@ -387,26 +361,19 @@ void LrcProtocol::ServePageRequest(PageId page, NodeId requester) {
 }
 
 void LrcProtocol::HandleProtocolMessage(Message msg) {
-  const SpanId cause = msg.span;
-  const SimTime t_arrive = engine()->Now();
   switch (msg.type) {
     case MsgType::kDiffRequest: {
       auto* p = static_cast<DiffRequestPayload*>(msg.payload.get());
-      ServeDataRequest(costs().service_fixed, BusyCat::kService,
-                       [this, cause, t_arrive, page = p->page, requester = p->requester,
-                        ids = std::move(p->intervals)] {
-                         SpanCause sc(this,
-                                      SpanEmit(SpanKind::kService, t_arrive, cause, page));
-                         TrySendDiffReply(page, requester, ids);
-                       });
+      Serve(msg, Route::kData, costs().service_fixed, BusyCat::kService, p->page,
+            [this, page = p->page, requester = p->requester, ids = std::move(p->intervals)] {
+              TrySendDiffReply(page, requester, ids);
+            });
       return;
     }
     case MsgType::kDiffReply: {
       auto* p = static_cast<DiffReplyPayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/false, 0, BusyCat::kService,
-            [this, cause, t_arrive, page = p->page, writer = p->writer,
-             diffs = std::move(p->diffs)]() mutable {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, page));
+      Serve(msg, Route::kReply, 0, BusyCat::kService, p->page,
+            [this, page = p->page, writer = p->writer, diffs = std::move(p->diffs)]() mutable {
               auto it = faults_.find(page);
               HLRC_CHECK(it != faults_.end());
               FaultCtx& ctx = it->second;
@@ -427,20 +394,17 @@ void LrcProtocol::HandleProtocolMessage(Message msg) {
     }
     case MsgType::kPageRequest: {
       auto* p = static_cast<HomelessPageRequestPayload*>(msg.payload.get());
-      ServeDataRequest(costs().service_fixed, BusyCat::kService,
-                       [this, cause, t_arrive, page = p->page, requester = p->requester] {
-                         SpanCause sc(this,
-                                      SpanEmit(SpanKind::kService, t_arrive, cause, page));
-                         ServePageRequest(page, requester);
-                       });
+      Serve(msg, Route::kData, costs().service_fixed, BusyCat::kService, p->page,
+            [this, page = p->page, requester = p->requester] {
+              ServePageRequest(page, requester);
+            });
       return;
     }
     case MsgType::kPageReply: {
       auto* p = static_cast<HomelessPageReplyPayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/false, costs().page_protect, BusyCat::kFault,
-            [this, cause, t_arrive, page = p->page, data = std::move(p->data),
+      Serve(msg, Route::kReply, costs().page_protect, BusyCat::kFault, p->page,
+            [this, page = p->page, data = std::move(p->data),
              covered = std::move(p->covered)]() mutable {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, page));
               auto it = faults_.find(page);
               HLRC_CHECK(it != faults_.end());
               it->second.page_data = std::move(data);
@@ -452,41 +416,31 @@ void LrcProtocol::HandleProtocolMessage(Message msg) {
       return;
     }
     case MsgType::kGcRequest: {
-      Serve(/*on_coproc=*/false, /*interrupt=*/true,
+      Serve(msg, Route::kRequest,
             costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(diff_store_.size()),
-            BusyCat::kGc, [this, cause, t_arrive] {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause));
-              HandleGcRequest();
-            });
+            BusyCat::kGc, 0, [this] { HandleGcRequest(); });
       return;
     }
     case MsgType::kGcInfo: {
       auto* p = static_cast<GcInfoPayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/false,
-            costs().gc_per_page * static_cast<SimTime>(p->entries.size()), BusyCat::kGc,
-            [this, cause, t_arrive, node = p->node, entries = std::move(p->entries)]() mutable {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause));
+      Serve(msg, Route::kReply, costs().gc_per_page * static_cast<SimTime>(p->entries.size()),
+            BusyCat::kGc, 0,
+            [this, node = p->node, entries = std::move(p->entries)]() mutable {
               HandleGcInfo(node, std::move(entries));
             });
       return;
     }
     case MsgType::kGcValidate: {
       auto* p = static_cast<GcValidatePayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/true,
-            costs().gc_per_page * static_cast<SimTime>(p->validators.size()), BusyCat::kGc,
-            [this, cause, t_arrive, validators = std::move(p->validators),
-             intervals = std::move(p->intervals)] {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause));
+      Serve(msg, Route::kRequest,
+            costs().gc_per_page * static_cast<SimTime>(p->validators.size()), BusyCat::kGc, 0,
+            [this, validators = std::move(p->validators), intervals = std::move(p->intervals)] {
               ApplyGcValidate(validators, intervals);
             });
       return;
     }
     case MsgType::kGcDone: {
-      Serve(/*on_coproc=*/false, /*interrupt=*/false, costs().gc_fixed, BusyCat::kGc,
-            [this, cause, t_arrive] {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause));
-              HandleGcDone();
-            });
+      Serve(msg, Route::kReply, costs().gc_fixed, BusyCat::kGc, 0, [this] { HandleGcDone(); });
       return;
     }
     default:
@@ -540,10 +494,8 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
       if (n == self()) {
         ApplyGcValidate(validators, missing);
       } else {
-        int64_t bytes = 8 + 8 * static_cast<int64_t>(validators.size());
-        for (const IntervalPtr& rec : missing) {
-          bytes += IntervalBytes(*rec);
-        }
+        const int64_t bytes =
+            8 + 8 * static_cast<int64_t>(validators.size()) + BatchBytes(missing);
         auto payload = std::make_unique<GcValidatePayload>();
         payload->validators = validators;
         payload->intervals = std::move(missing);

@@ -28,10 +28,6 @@ class LrcProtocol : public ProtocolNode {
  public:
   explicit LrcProtocol(const Env& env) : ProtocolNode(env) {}
 
-  // Test/bench introspection.
-  int64_t stored_diff_bytes() const { return diff_store_bytes_; }
-  int64_t pending_notice_count() const { return pending_count_; }
-
  protected:
   void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
   bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
@@ -72,7 +68,6 @@ class LrcProtocol : public ProtocolNode {
   bool HasPending(PageId page) const;
   Task<void> FetchDiffs(PageId page);
   Task<void> FetchFullPage(PageId page);
-  void InstallPageData(PageId page, const std::vector<std::byte>& data);
 
   uint32_t GetCovered(PageId page, NodeId writer) const;
   void SetCovered(PageId page, NodeId writer, uint32_t id);

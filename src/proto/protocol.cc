@@ -1,6 +1,7 @@
 #include "src/proto/protocol.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "src/common/cli.h"
@@ -88,10 +89,18 @@ ProtocolNode::~ProtocolNode() = default;
 ProtocolNode::WaitScope::WaitScope(ProtocolNode* n, WaitCat c, WaitCat d)
     : node(n), cat(c), deduct(d), t0(n->engine()->Now()), busy0(n->env_.cpu->busy().Total()) {}
 
+ProtocolNode::WaitScope::WaitScope(ProtocolNode* n, WaitCat c, SpanKind root, int64_t a0,
+                                   int64_t a1)
+    : WaitScope(n, c) {
+  span = n->SpanBegin(root, a0, a1);
+  n->SpanVt(span);
+}
+
 void ProtocolNode::WaitScope::Finish() {
-  const SimTime span = node->engine()->Now() - t0;
+  node->SpanEnd(span);
+  const SimTime elapsed = node->engine()->Now() - t0;
   const SimTime busy = node->env_.cpu->busy().Total() - busy0;
-  const SimTime wait = span - busy;
+  const SimTime wait = elapsed - busy;
   if (wait > 0) {
     node->stats_.waits.Add(cat, wait);
     if (deduct != WaitCat::kNone) {
@@ -103,7 +112,7 @@ void ProtocolNode::WaitScope::Finish() {
     // per-operation latency the application observed, the distribution the
     // scalar waits[] averages cannot show.
     if (Histogram* h = node->metrics_->ForWait(cat)) {
-      h->Record(span);
+      h->Record(elapsed);
     }
   }
 }
@@ -117,26 +126,20 @@ Task<void> ProtocolNode::ChargeCpu(SimTime cost, BusyCat cat) {
   }
 }
 
-void ProtocolNode::Serve(bool on_coproc, bool interrupt, SimTime cost, BusyCat cat,
-                         std::function<void()> fn) {
-  Processor* proc = on_coproc ? env_.cop : env_.cpu;
-  if (interrupt) {
-    HLRC_DCHECK(!on_coproc);  // The co-processor polls; it takes no interrupts.
-    proc->RunService(costs().receive_interrupt, BusyCat::kInterrupt,
-                     [proc, cost, cat, fn = std::move(fn)]() mutable {
-                       proc->RunService(cost, cat, std::move(fn));
-                     });
+void ProtocolNode::Dispatch(Route route, SimTime cost, BusyCat cat, std::function<void()> done) {
+  if (route == Route::kData && overlapped()) {
+    env_.cop->RunService(cost, cat, std::move(done));
     return;
   }
-  proc->RunService(cost, cat, std::move(fn));
-}
-
-void ProtocolNode::ServeDataRequest(SimTime cost, BusyCat cat, std::function<void()> fn) {
-  if (overlapped()) {
-    Serve(/*on_coproc=*/true, /*interrupt=*/false, cost, cat, std::move(fn));
-  } else {
-    Serve(/*on_coproc=*/false, /*interrupt=*/true, cost, cat, std::move(fn));
+  Processor* cpu = env_.cpu;
+  if (route == Route::kReply) {
+    cpu->RunService(cost, cat, std::move(done));
+    return;
   }
+  cpu->RunService(costs().receive_interrupt, BusyCat::kInterrupt,
+                  [cpu, cost, cat, done = std::move(done)]() mutable {
+                    cpu->RunService(cost, cat, std::move(done));
+                  });
 }
 
 void ProtocolNode::Send(NodeId dst, MsgType type, int64_t update_bytes, int64_t protocol_bytes,
@@ -192,10 +195,26 @@ int64_t ProtocolNode::ProtocolMemoryBytes() const {
   return known_interval_bytes_ + env_.pages->TwinBytes() + SubclassMemoryBytes();
 }
 
-const IntervalRecord& ProtocolNode::KnownInterval(NodeId writer, uint32_t id) const {
-  const IntervalRecord* rec = interval_log_.Find(writer, id);
-  HLRC_CHECK_MSG(rec != nullptr, "node %d: unknown interval (%d, %u)", env_.self, writer, id);
-  return *rec;
+Diff ProtocolNode::TakeTwinDiff(PageId page) {
+  HLRC_CHECK(env_.pages->HasTwin(page));
+  Diff d = CreateDiff(page, env_.pages->State(page).twin.get(), env_.pages->PageData(page),
+                      env_.pages->page_size(), env_.options->diff_word_bytes);
+  env_.pages->DropTwin(page);
+  return d;
+}
+
+void ProtocolNode::InstallPageData(PageId page, const std::vector<std::byte>& data) {
+  HLRC_CHECK(static_cast<int64_t>(data.size()) == env_.pages->page_size());
+  std::byte* dst = env_.pages->PageData(page);
+  if (env_.pages->HasTwin(page)) {
+    Diff local = CreateDiff(page, env_.pages->State(page).twin.get(), dst,
+                            env_.pages->page_size(), env_.options->diff_word_bytes);
+    std::memcpy(dst, data.data(), data.size());
+    std::memcpy(env_.pages->State(page).twin.get(), data.data(), data.size());
+    ApplyDiff(local, dst, env_.pages->page_size());
+  } else {
+    std::memcpy(dst, data.data(), data.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,8 +292,8 @@ Task<void> ProtocolNode::CloseIntervalFromApp() {
   CloseActions actions = CloseIntervalPrepared();
   co_await ChargeCpu(actions.protect_cost, BusyCat::kFault);
   co_await ChargeCpu(actions.diff_cost, BusyCat::kDiffCreate);
-  if (actions.post) {
-    actions.post();
+  for (const std::function<void()>& step : actions.post) {
+    step();
   }
   // Eager protocols: the synchronization operation may not proceed while any
   // update flush (from this close or an earlier one) is unacknowledged.
@@ -354,11 +373,8 @@ Task<void> ProtocolNode::EnsureAccessSpans(std::vector<PageSpan> spans) {
       co_return;
     }
 
-    WaitScope ws(this, WaitCat::kData);
-    const SpanId fault_span =
-        SpanBegin(SpanKind::kFault, fault_page, fault_write ? 1 : 0);
-    SpanVt(fault_span);
-    cur_fault_span_ = fault_span;
+    WaitScope ws(this, WaitCat::kData, SpanKind::kFault, fault_page, fault_write ? 1 : 0);
+    cur_fault_span_ = ws.span;
     co_await ChargeCpu(costs().page_fault, BusyCat::kFault);
     if (fault_invalid) {
       ++stats_.read_misses;
@@ -381,7 +397,6 @@ Task<void> ProtocolNode::EnsureAccessSpans(std::vector<PageSpan> spans) {
           fault_write ? 4 : 3);  // Cause 3: read fault, 4: write fault.
     HLRC_DCHECK(env_.pages->State(fault_page).prot != PageProt::kNone);
     cur_fault_span_ = kNoSpan;
-    SpanEnd(fault_span);
     ws.Finish();
   }
 }
@@ -426,13 +441,11 @@ Task<void> ProtocolNode::Acquire(LockId lock) {
   // A remote acquire delimits the current interval (paper §2.1 case (i)).
   co_await CloseIntervalFromApp();
 
-  WaitScope ws(this, WaitCat::kLock);
-  const SpanId lock_span = SpanBegin(SpanKind::kLock, lock);
-  SpanVt(lock_span);
+  WaitScope ws(this, WaitCat::kLock, SpanKind::kLock, lock);
   ls.waiting = std::make_unique<Completion>(env_.engine);
 
   {
-    SpanCause sc(this, lock_span);
+    SpanCause sc(this, ws.span);
     const NodeId manager = LockManagerNode(lock);
     if (manager == env_.self) {
       HandleLockRequest(lock, env_.self, vt_);
@@ -451,12 +464,11 @@ Task<void> ProtocolNode::Acquire(LockId lock) {
   ls2.waiting.reset();
   ls2.held = true;
   ls2.in_use = true;
-  SpanEnd(lock_span);
+  ws.Finish();
   // The critical section itself: a later requester's wait that overlaps it is
   // attributed to compute (the holder was legitimately working).
   ls2.hold_span = SpanBegin(SpanKind::kLockHold, lock);
-  SpanLink(ls2.hold_span, lock_span);
-  ws.Finish();
+  SpanLink(ls2.hold_span, ws.span);
 }
 
 Task<void> ProtocolNode::Release(LockId lock) {
@@ -530,10 +542,7 @@ void ProtocolNode::GrantLock(LockId lock, NodeId requester, const VectorClock& r
     env_.cpu->RunService(
         pack_cost, BusyCat::kWriteNotice,
         [this, lock, requester, cause, t_dispatch, recs = std::move(recs)]() mutable {
-          int64_t bytes = 16;
-          for (const IntervalPtr& rec : recs) {
-            bytes += IntervalBytes(*rec);
-          }
+          const int64_t bytes = 16 + BatchBytes(recs);
           auto payload = std::make_unique<LockGrantPayload>();
           payload->lock = lock;
           payload->intervals = std::move(recs);
@@ -544,18 +553,20 @@ void ProtocolNode::GrantLock(LockId lock, NodeId requester, const VectorClock& r
         });
   };
 
-  if (actions.TotalCpu() > 0 || actions.post) {
+  if (actions.TotalCpu() > 0 || !actions.post.empty()) {
     env_.cpu->RunService(
         actions.protect_cost, BusyCat::kFault,
-        [this, diff_cost = actions.diff_cost, post = std::move(actions.post), send_grant] {
-          env_.cpu->RunService(diff_cost, BusyCat::kDiffCreate, [this, post, send_grant] {
-            if (post) {
-              post();
-            }
-            // The grant is the happens-before edge: it may not leave while
-            // eager flushes are outstanding.
-            FlushBarrier(send_grant);
-          });
+        [this, diff_cost = actions.diff_cost, post = std::move(actions.post),
+         send_grant]() mutable {
+          env_.cpu->RunService(
+              diff_cost, BusyCat::kDiffCreate, [this, post = std::move(post), send_grant] {
+                for (const std::function<void()>& step : post) {
+                  step();
+                }
+                // The grant is the happens-before edge: it may not leave while
+                // eager flushes are outstanding.
+                FlushBarrier(send_grant);
+              });
         });
   } else {
     FlushBarrier(send_grant);
@@ -583,9 +594,7 @@ Task<void> ProtocolNode::Barrier(BarrierId barrier) {
   ++stats_.barriers;
   co_await CloseIntervalFromApp();
 
-  WaitScope ws(this, WaitCat::kBarrier);
-  const SpanId bar_span = SpanBegin(SpanKind::kBarrier, barrier);
-  SpanVt(bar_span);
+  WaitScope ws(this, WaitCat::kBarrier, SpanKind::kBarrier, barrier);
   HLRC_CHECK(barrier_waiting_ == nullptr);
   barrier_waiting_ = std::make_unique<Completion>(env_.engine);
 
@@ -601,7 +610,7 @@ Task<void> ProtocolNode::Barrier(BarrierId barrier) {
       !home_based() && ProtocolMemoryBytes() > env_.options->gc_threshold_bytes;
 
   {
-    SpanCause sc(this, bar_span);
+    SpanCause sc(this, ws.span);
     if (TreeBarrier()) {
       std::vector<BarrierArrival> self_arrival(1);
       self_arrival[0].node = env_.self;
@@ -610,24 +619,29 @@ Task<void> ProtocolNode::Barrier(BarrierId barrier) {
     } else if (env_.self == kBarrierManager) {
       HandleBarrierEnter(barrier, env_.self, vt_, std::move(recs), pressure);
     } else {
-      int64_t bytes = 16 + vt_.EncodedSize();
-      for (const IntervalPtr& rec : recs) {
-        bytes += IntervalBytes(*rec);
-      }
-      auto payload = std::make_unique<BarrierEnterPayload>();
-      payload->barrier = barrier;
-      payload->node = env_.self;
-      payload->vt = vt_;
-      payload->intervals = std::move(recs);
-      payload->mem_pressure = pressure;
-      Send(kBarrierManager, MsgType::kBarrierEnter, 0, bytes, std::move(payload));
+      SendBarrierEnter(kBarrierManager, barrier, std::move(recs), pressure, {});
     }
   }
 
   co_await *barrier_waiting_;
   barrier_waiting_.reset();
-  SpanEnd(bar_span);
   ws.Finish();
+}
+
+void ProtocolNode::SendBarrierEnter(NodeId dst, BarrierId barrier, IntervalBatch recs,
+                                    bool mem_pressure, std::vector<BarrierArrival> arrivals) {
+  int64_t bytes = 16 + vt_.EncodedSize() + BatchBytes(recs);
+  for (const BarrierArrival& a : arrivals) {
+    bytes += 4 + a.vt.EncodedSize();
+  }
+  auto payload = std::make_unique<BarrierEnterPayload>();
+  payload->barrier = barrier;
+  payload->node = env_.self;
+  payload->vt = vt_;
+  payload->intervals = std::move(recs);
+  payload->mem_pressure = mem_pressure;
+  payload->arrivals = std::move(arrivals);
+  Send(dst, MsgType::kBarrierEnter, 0, bytes, std::move(payload));
 }
 
 void ProtocolNode::HandleBarrierEnter(BarrierId barrier, NodeId node, const VectorClock& nvt,
@@ -666,11 +680,7 @@ void ProtocolNode::HandleBarrierEnter(BarrierId barrier, NodeId node, const Vect
 
 int ProtocolNode::TreeSubtreeSize(NodeId n) const {
   int size = 1;
-  const NodeId first = TreeFirstChild(n);
-  for (NodeId c = first;
-       c < first + env_.options->barrier_arity && c < env_.nodes; ++c) {
-    size += TreeSubtreeSize(c);
-  }
+  ForEachTreeChild(n, [this, &size](NodeId c) { size += TreeSubtreeSize(c); });
   return size;
 }
 
@@ -734,26 +744,13 @@ void ProtocolNode::TreeMaybeForwardUp(BarrierId barrier) {
   // so one pack against sent_to_manager_vt_ covers own and child intervals).
   IntervalBatch recs = PackIntervalsFor(sent_to_manager_vt_);
   const SimTime cost = costs().wn_pack * static_cast<SimTime>(recs.size());
-  int64_t bytes = 16 + vt_.EncodedSize();
-  for (const IntervalPtr& rec : recs) {
-    bytes += IntervalBytes(*rec);
-  }
-  for (const BarrierArrival& a : ts.arrivals) {
-    bytes += 4 + a.vt.EncodedSize();
-  }
-  auto payload = std::make_unique<BarrierEnterPayload>();
-  payload->barrier = barrier;
-  payload->node = env_.self;
-  payload->vt = vt_;
-  payload->intervals = std::move(recs);
-  payload->mem_pressure = ts.mem_pressure;
-  // Copy, not move: the arrival vts are needed again at release time to pack
-  // each direct child's release forward.
-  payload->arrivals = ts.arrivals;
   SpanEnd(ts.gather_span);
   {
     SpanCause sc(this, ts.gather_span);
-    Send(TreeParent(env_.self), MsgType::kBarrierEnter, 0, bytes, std::move(payload));
+    // Copy, not move: the arrival vts are needed again at release time to
+    // pack each direct child's release forward.
+    SendBarrierEnter(TreeParent(env_.self), barrier, std::move(recs), ts.mem_pressure,
+                     ts.arrivals);
   }
   env_.cpu->RunService(cost, BusyCat::kWriteNotice, [] {});
 }
@@ -787,36 +784,18 @@ void ProtocolNode::SendBarrierReleases(BarrierId barrier) {
   // Flat barrier: the manager releases every other node directly. Tree mode:
   // only its direct children — each interior node re-packs and forwards to
   // its own children in HandleBarrierRelease.
-  std::vector<NodeId> targets;
+  SimTime cost = 0;
+  auto release = [&](NodeId n) {
+    cost += SendBarrierRelease(n, barrier, bm.arrival_vt[static_cast<size_t>(n)]);
+  };
   if (TreeBarrier()) {
-    const NodeId first = TreeFirstChild(env_.self);
-    for (NodeId c = first;
-         c < first + env_.options->barrier_arity && c < env_.nodes; ++c) {
-      targets.push_back(c);
-    }
+    ForEachTreeChild(env_.self, release);
   } else {
     for (NodeId n = 0; n < env_.nodes; ++n) {
       if (n != env_.self) {
-        targets.push_back(n);
+        release(n);
       }
     }
-  }
-
-  SimTime cost = 0;
-  for (const NodeId n : targets) {
-    // Handle copies only: each receiver's release payload aliases the same
-    // underlying records (the copy-free fan-out this PR is about).
-    IntervalBatch recs = PackIntervalsFor(bm.arrival_vt[static_cast<size_t>(n)]);
-    cost += costs().barrier_handling + costs().wn_pack * static_cast<SimTime>(recs.size());
-    int64_t bytes = 16 + vt_.EncodedSize();
-    for (const IntervalPtr& rec : recs) {
-      bytes += IntervalBytes(*rec);
-    }
-    auto payload = std::make_unique<BarrierReleasePayload>();
-    payload->barrier = barrier;
-    payload->intervals = std::move(recs);
-    payload->max_vt = vt_;
-    Send(n, MsgType::kBarrierRelease, 0, bytes, std::move(payload));
   }
   // The manager releases itself once the send-side work is charged.
   env_.cpu->RunService(cost, BusyCat::kWriteNotice,
@@ -824,6 +803,22 @@ void ProtocolNode::SendBarrierReleases(BarrierId barrier) {
                          SpanCause sc2(this, cause);
                          HandleBarrierRelease(barrier, {}, vt_);
                        });
+}
+
+SimTime ProtocolNode::SendBarrierRelease(NodeId dst, BarrierId barrier,
+                                         const VectorClock& arrival_vt) {
+  // Handle copies only: each receiver's release payload aliases the same
+  // underlying records.
+  IntervalBatch recs = PackIntervalsFor(arrival_vt);
+  const SimTime cost =
+      costs().barrier_handling + costs().wn_pack * static_cast<SimTime>(recs.size());
+  auto payload = std::make_unique<BarrierReleasePayload>();
+  payload->barrier = barrier;
+  payload->max_vt = vt_;
+  const int64_t bytes = 16 + vt_.EncodedSize() + BatchBytes(recs);
+  payload->intervals = std::move(recs);
+  Send(dst, MsgType::kBarrierRelease, 0, bytes, std::move(payload));
+  return cost;
 }
 
 void ProtocolNode::HandleBarrierRelease(BarrierId barrier, IntervalBatch intervals,
@@ -840,29 +835,13 @@ void ProtocolNode::HandleBarrierRelease(BarrierId barrier, IntervalBatch interva
     // charged below.
     auto it = barrier_tree_.find(barrier);
     HLRC_CHECK(it != barrier_tree_.end());
-    const NodeId first = TreeFirstChild(env_.self);
-    for (NodeId c = first;
-         c < first + env_.options->barrier_arity && c < env_.nodes; ++c) {
-      const VectorClock* cvt = nullptr;
-      for (const BarrierArrival& a : it->second.arrivals) {
-        if (a.node == c) {
-          cvt = &a.vt;
-          break;
-        }
-      }
-      HLRC_CHECK(cvt != nullptr);
-      IntervalBatch recs = PackIntervalsFor(*cvt);
-      cost += costs().barrier_handling + costs().wn_pack * static_cast<SimTime>(recs.size());
-      int64_t bytes = 16 + vt_.EncodedSize();
-      for (const IntervalPtr& rec : recs) {
-        bytes += IntervalBytes(*rec);
-      }
-      auto payload = std::make_unique<BarrierReleasePayload>();
-      payload->barrier = barrier;
-      payload->intervals = std::move(recs);
-      payload->max_vt = vt_;
-      Send(c, MsgType::kBarrierRelease, 0, bytes, std::move(payload));
-    }
+    const std::vector<BarrierArrival>& arrivals = it->second.arrivals;
+    ForEachTreeChild(env_.self, [&](NodeId c) {
+      auto a = std::find_if(arrivals.begin(), arrivals.end(),
+                            [c](const BarrierArrival& x) { return x.node == c; });
+      HLRC_CHECK(a != arrivals.end());
+      cost += SendBarrierRelease(c, barrier, a->vt);
+    });
   }
   const SpanId cause = active_span_;
   const SimTime t0 = engine()->Now();
@@ -892,38 +871,28 @@ void ProtocolNode::OnBarrierReleased() {}
 // Message dispatch.
 
 void ProtocolNode::HandleMessage(Message msg) {
-  // Span tracing: every deferred handler runs under a service span chained
-  // from the message's wire span, covering [arrival, service completion] —
-  // interrupt charge and processor queueing included.
-  const SpanId cause = msg.span;
-  const SimTime t_arrive = engine()->Now();
   switch (msg.type) {
     case MsgType::kLockRequest: {
       auto* p = static_cast<LockRequestPayload*>(msg.payload.get());
       // Lock management always runs on the compute processor (paper §2.4.1).
-      Serve(/*on_coproc=*/false, /*interrupt=*/true, costs().lock_handling, BusyCat::kService,
-            [this, cause, t_arrive, lock = p->lock, requester = p->requester, vt = p->vt] {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, lock));
+      Serve(msg, Route::kRequest, costs().lock_handling, BusyCat::kService, p->lock,
+            [this, lock = p->lock, requester = p->requester, vt = p->vt] {
               HandleLockRequest(lock, requester, vt);
             });
       return;
     }
     case MsgType::kLockForward: {
       auto* p = static_cast<LockForwardPayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/true, costs().lock_handling, BusyCat::kService,
-            [this, cause, t_arrive, lock = p->lock, requester = p->requester, vt = p->vt] {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, lock));
+      Serve(msg, Route::kRequest, costs().lock_handling, BusyCat::kService, p->lock,
+            [this, lock = p->lock, requester = p->requester, vt = p->vt] {
               HandleLockForward(lock, requester, vt);
             });
       return;
     }
     case MsgType::kLockGrant: {
       auto* p = static_cast<LockGrantPayload*>(msg.payload.get());
-      // Solicited reply: the requester is blocked in a receive, no interrupt.
-      Serve(/*on_coproc=*/false, /*interrupt=*/false, 0, BusyCat::kService,
-            [this, cause, t_arrive, lock = p->lock,
-             intervals = std::move(p->intervals)]() mutable {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, lock));
+      Serve(msg, Route::kReply, 0, BusyCat::kService, p->lock,
+            [this, lock = p->lock, intervals = std::move(p->intervals)]() mutable {
               HandleLockGrant(lock, std::move(intervals));
             });
       return;
@@ -933,30 +902,25 @@ void ProtocolNode::HandleMessage(Message msg) {
       if (!p->arrivals.empty()) {
         // Combined enter from a barrier-tree child: fold the whole subtree
         // into this node's fan-in state.
-        Serve(/*on_coproc=*/false, /*interrupt=*/true, 0, BusyCat::kService,
-              [this, cause, t_arrive, barrier = p->barrier,
-               arrivals = std::move(p->arrivals), intervals = std::move(p->intervals),
-               mem = p->mem_pressure]() mutable {
-                SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, barrier));
-                TreeBarrierAccumulate(barrier, std::move(arrivals),
-                                      std::move(intervals), mem);
+        Serve(msg, Route::kRequest, 0, BusyCat::kService, p->barrier,
+              [this, barrier = p->barrier, arrivals = std::move(p->arrivals),
+               intervals = std::move(p->intervals), mem = p->mem_pressure]() mutable {
+                TreeBarrierAccumulate(barrier, std::move(arrivals), std::move(intervals), mem);
               });
         return;
       }
-      Serve(/*on_coproc=*/false, /*interrupt=*/true, 0, BusyCat::kService,
-            [this, cause, t_arrive, barrier = p->barrier, node = p->node, vt = p->vt,
+      Serve(msg, Route::kRequest, 0, BusyCat::kService, p->barrier,
+            [this, barrier = p->barrier, node = p->node, vt = p->vt,
              intervals = std::move(p->intervals), mem = p->mem_pressure]() mutable {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, barrier));
               HandleBarrierEnter(barrier, node, vt, std::move(intervals), mem);
             });
       return;
     }
     case MsgType::kBarrierRelease: {
       auto* p = static_cast<BarrierReleasePayload*>(msg.payload.get());
-      Serve(/*on_coproc=*/false, /*interrupt=*/false, 0, BusyCat::kService,
-            [this, cause, t_arrive, barrier = p->barrier,
-             intervals = std::move(p->intervals), max_vt = p->max_vt]() mutable {
-              SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause));
+      Serve(msg, Route::kReply, 0, BusyCat::kService, 0,
+            [this, barrier = p->barrier, intervals = std::move(p->intervals),
+             max_vt = p->max_vt]() mutable {
               HandleBarrierRelease(barrier, std::move(intervals), max_vt);
             });
       return;

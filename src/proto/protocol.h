@@ -1,11 +1,11 @@
-// Base class shared by all four SVM protocols.
+// Base class shared by all SVM protocols.
 //
 // One ProtocolNode lives on every simulated node. It owns the node's interval
 // and vector-timestamp machinery, the distributed lock algorithm and the
-// centralized barrier manager (paper §3.5), write-notice propagation, and the
-// plumbing that routes remote-request servicing to the right processor
-// (compute processor via a costed receive interrupt for the non-overlapped
-// protocols, communication co-processor for the overlapped ones).
+// centralized barrier manager (paper §3.5), write-notice propagation, the
+// one message-service path (Serve: which processor, which interrupt, which
+// span), and the twin-diff and page-install steps every twin-based protocol
+// shares.
 //
 // Subclasses implement update handling: where diffs go at interval end and
 // how a page fault is resolved (homeless diff collection for LRC/OLRC,
@@ -167,7 +167,6 @@ class ProtocolNode {
   // ---- Introspection -------------------------------------------------------
 
   const ProtoStats& stats() const { return stats_; }
-  ProtoStats& mutable_stats() { return stats_; }
   const VectorClock& vt() const { return vt_; }
 
   // Current protocol memory footprint: interval records + twins + subclass
@@ -204,14 +203,14 @@ class ProtocolNode {
   // Called when an interval with dirty pages closes, before the record is
   // published. Computes diffs (data-wise, instantly) and may remove pages
   // whose diff turned out empty (a write that did not change the page needs
-  // no write notice). Returns compute-processor costs to charge; `post` runs
-  // after the costs have been charged (it sends diff flushes for the
-  // non-overlapped home-based protocol, or schedules co-processor diffing for
-  // the overlapped ones).
+  // no write notice). Returns compute-processor costs to charge; the `post`
+  // steps run in order after the costs have been charged (they send diff
+  // flushes for the non-overlapped protocols, or schedule co-processor
+  // diffing for the overlapped ones).
   struct CloseActions {
     SimTime protect_cost = 0;  // Reprotection of dirty pages.
     SimTime diff_cost = 0;     // Diff creation on the compute processor.
-    std::function<void()> post;
+    std::vector<std::function<void()>> post;
     SimTime TotalCpu() const { return protect_cost + diff_cost; }
   };
   virtual void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) = 0;
@@ -256,15 +255,34 @@ class ProtocolNode {
   // Charges `cost` on the compute processor from the app coroutine.
   Task<void> ChargeCpu(SimTime cost, BusyCat cat);
 
-  // Routes request servicing: `interrupt` charges the receive-interrupt cost
-  // first (non-overlapped protocols servicing unsolicited requests on the
-  // compute processor); on_coproc selects the co-processor.
-  void Serve(bool on_coproc, bool interrupt, SimTime cost, BusyCat cat,
-             std::function<void()> fn);
+  // The three ways a message is serviced (paper §2.4.1).
+  enum class Route {
+    kRequest,  // Unsolicited request: compute processor, behind the receive
+               // interrupt.
+    kReply,    // Reply to a requester blocked in a receive: compute
+               // processor, no interrupt.
+    kData,     // Data request under the overlap policy: the co-processor
+               // (which polls, taking no interrupts) when overlapped, else
+               // as kRequest.
+  };
 
-  // Convenience: service routing for a request-type message under this
-  // protocol's overlap policy for data operations.
-  void ServeDataRequest(SimTime cost, BusyCat cat, std::function<void()> fn);
+  // Services `msg`: once the route's processor has spent `cost` on `cat`,
+  // runs `fn` under the message's service span — [arrival, completion],
+  // chained from the wire span, kind kDiffApply for diff-apply work and
+  // kService otherwise, first argument `a0`. Evaluation order of the
+  // arguments is unspecified: no other argument may read a payload field
+  // that `fn` moves.
+  template <typename F>
+  void Serve(const Message& msg, Route route, SimTime cost, BusyCat cat, int64_t a0, F fn) {
+    const SpanKind kind = cat == BusyCat::kDiffApply ? SpanKind::kDiffApply : SpanKind::kService;
+    // Composed before type erasure: one std::function per serviced message.
+    Dispatch(route, cost, cat,
+             [this, kind, a0, cause = msg.span, t_arrive = engine()->Now(),
+              fn = std::move(fn)]() mutable {
+               SpanCause sc(this, SpanEmit(kind, t_arrive, cause, a0));
+               fn();
+             });
+  }
 
   // Closes the current interval if it has dirty pages: bumps the vector
   // timestamp, records the interval, reprotects dirty pages, and invokes
@@ -277,6 +295,14 @@ class ProtocolNode {
   // Marks a page dirty in the current open interval.
   void MarkDirty(PageId page);
   bool IsDirtyInOpenInterval(PageId page) const;
+
+  // Diffs `page` against its twin and drops the twin.
+  Diff TakeTwinDiff(PageId page);
+
+  // Installs a fetched copy of `page`. Local writes of the open interval
+  // survive (multiple-writer pages): their delta is reapplied on top of the
+  // incoming copy, and the twin is rebased onto it.
+  void InstallPageData(PageId page, const std::vector<std::byte>& data);
 
   // Applies a batch of interval records learned from a grant or release.
   // Returns the cpu cost of the write-notice handling (already includes page
@@ -326,24 +352,36 @@ class ProtocolNode {
   int64_t IntervalBytes(const IntervalRecord& rec) const {
     return rec.EncodedSize(ShipVt());
   }
+  // Wire bytes of a batch of interval records.
+  int64_t BatchBytes(const IntervalBatch& recs) const {
+    int64_t bytes = 0;
+    for (const IntervalPtr& rec : recs) {
+      bytes += IntervalBytes(*rec);
+    }
+    return bytes;
+  }
 
   const Env& env() const { return env_; }
   Engine* engine() const { return env_.engine; }
   const CostModel& costs() const { return *env_.costs; }
   PageTable& pages() const { return *env_.pages; }
 
-  // Wait-accounting helper: measures the wall time from construction to
-  // Finish() minus the compute-processor busy time accrued in between, and
-  // adds it to `stats_.waits[cat]`. If `deduct` is not kNone the same amount
-  // is subtracted from that category (used to carve GC waits out of the
+  // One blocking operation: measures the wall time from construction to
+  // Finish() minus the compute-processor busy time accrued in between, adds
+  // it to `stats_.waits[cat]` and the wait histogram, and — for the fault,
+  // lock and barrier operations — records it as one root span stamped with
+  // the node's vector clock. If `deduct` is not kNone the same amount is
+  // subtracted from that category (used to carve GC waits out of the
   // enclosing barrier wait).
   struct WaitScope {
     ProtocolNode* node;
     WaitCat cat;
-    WaitCat deduct;
+    WaitCat deduct = WaitCat::kNone;
     SimTime t0;
     SimTime busy0;
+    SpanId span = kNoSpan;  // The root span, if the scope opened one.
     WaitScope(ProtocolNode* n, WaitCat c, WaitCat d = WaitCat::kNone);
+    WaitScope(ProtocolNode* n, WaitCat c, SpanKind root, int64_t a0, int64_t a1 = 0);
     void Finish();
   };
 
@@ -442,10 +480,10 @@ class ProtocolNode {
   IntervalLog interval_log_;
   int64_t known_interval_bytes_ = 0;
 
-  // Looks up a known interval record; aborts if missing.
-  const IntervalRecord& KnownInterval(NodeId writer, uint32_t id) const;
-
  private:
+  // Runs `done` on the processor `route` selects, after `cost` of `cat`.
+  void Dispatch(Route route, SimTime cost, BusyCat cat, std::function<void()> done);
+
   // ---- Lock algorithm ------------------------------------------------------
 
   struct LockState {
@@ -508,8 +546,13 @@ class ProtocolNode {
   NodeId TreeParent(NodeId n) const {
     return (n - 1) / env_.options->barrier_arity;
   }
-  NodeId TreeFirstChild(NodeId n) const {
-    return n * env_.options->barrier_arity + 1;
+  // Calls f(child) for every direct child of `n` in the barrier tree.
+  template <typename F>
+  void ForEachTreeChild(NodeId n, F f) const {
+    const NodeId first = n * env_.options->barrier_arity + 1;
+    for (NodeId c = first; c < first + env_.options->barrier_arity && c < env_.nodes; ++c) {
+      f(c);
+    }
   }
   int TreeSubtreeSize(NodeId n) const;
 
@@ -518,6 +561,15 @@ class ProtocolNode {
   void TreeBarrierAccumulate(BarrierId barrier, std::vector<BarrierArrival> arrivals,
                              IntervalBatch intervals, bool mem_pressure);
   void TreeMaybeForwardUp(BarrierId barrier);
+
+  // Sends this node's enter toward `dst`: its vt and `recs`, plus — on the
+  // barrier tree — the (node, arrival-vt) pairs of its whole subtree. A flat
+  // enter is a tree enter with no arrivals.
+  void SendBarrierEnter(NodeId dst, BarrierId barrier, IntervalBatch recs, bool mem_pressure,
+                        std::vector<BarrierArrival> arrivals);
+  // Sends `dst` its release: every interval record its arrival vt lacks.
+  // Returns the send-side cost to charge.
+  SimTime SendBarrierRelease(NodeId dst, BarrierId barrier, const VectorClock& arrival_vt);
 
   void HandleBarrierEnter(BarrierId barrier, NodeId node, const VectorClock& nvt,
                           IntervalBatch intervals, bool mem_pressure);
