@@ -14,53 +14,49 @@ namespace {
 
 constexpr size_t kTraceCap = 64;
 
-// The seeded chaos decision stream feeding both engine hooks. Decisions past
-// `limit` return the deterministic defaults without consuming the Rng, so a
-// (seed, limit) pair identifies a schedule exactly.
-class Chaos {
- public:
-  Chaos(uint64_t seed, SimTime max_jitter, uint64_t limit)
-      : rng_(seed ^ 0xc2b2ae3d27d4eb4fULL), max_jitter_(max_jitter), limit_(limit) {}
-
-  uint64_t Tiebreak() {
-    if (count_ >= limit_) {
-      ++count_;
-      return 0;
-    }
-    const uint64_t v = rng_.NextU64();
-    Record('T', v);
-    return v;
-  }
-
-  SimTime Jitter() {
-    if (count_ >= limit_) {
-      ++count_;
-      return 0;
-    }
-    const uint64_t v = rng_.NextBounded(static_cast<uint64_t>(max_jitter_) + 1);
-    Record('J', v);
-    return static_cast<SimTime>(v);
-  }
-
-  uint64_t count() const { return count_; }
-  std::vector<ChaosDecision> trace() && { return std::move(trace_); }
-
- private:
-  void Record(char kind, uint64_t value) {
-    if (trace_.size() < kTraceCap) {
-      trace_.push_back(ChaosDecision{count_, kind, value});
-    }
-    ++count_;
-  }
-
-  Rng rng_;
-  SimTime max_jitter_;
-  uint64_t limit_;
-  uint64_t count_ = 0;
-  std::vector<ChaosDecision> trace_;
-};
-
 }  // namespace
+
+void ChaosStream::Install(System& sys, bool permute_tasks) {
+  if (permute_tasks) {
+    sys.engine().SetTieBreaker([this] { return Tiebreak(); });
+  }
+  if (max_jitter_ > 0) {
+    sys.network().SetDeliveryJitterHook([this](NodeId, NodeId, MsgType) { return Jitter(); });
+  }
+}
+
+bool ChaosStream::Next(uint64_t* raw) {
+  if (count_ >= limit_) {
+    ++count_;
+    return false;
+  }
+  *raw = prefix_ != nullptr && count_ < prefix_->size() ? (*prefix_)[count_] : rng_.NextU64();
+  return true;
+}
+
+uint64_t ChaosStream::Tiebreak() {
+  uint64_t v = 0;
+  if (Next(&v)) {
+    Record('T', v);
+  }
+  return v;
+}
+
+SimTime ChaosStream::Jitter() {
+  uint64_t v = 0;
+  if (Next(&v)) {
+    v %= static_cast<uint64_t>(max_jitter_) + 1;
+    Record('J', v);
+  }
+  return static_cast<SimTime>(v);
+}
+
+void ChaosStream::Record(char kind, uint64_t value) {
+  if (trace_.size() < kTraceCap) {
+    trace_.push_back(ChaosDecision{count_, kind, value});
+  }
+  ++count_;
+}
 
 CheckResult RunOne(const CheckConfig& config) {
   SimConfig sim;
@@ -92,14 +88,8 @@ CheckResult RunOne(const CheckConfig& config) {
   LrcOracle oracle(config.nodes);
   sys.SetAccessObserver(&oracle);
 
-  Chaos chaos(config.seed, config.max_jitter, config.decision_limit);
-  if (config.permute_tasks) {
-    sys.engine().SetTieBreaker([&chaos] { return chaos.Tiebreak(); });
-  }
-  if (config.max_jitter > 0) {
-    sys.network().SetDeliveryJitterHook(
-        [&chaos](NodeId, NodeId, MsgType) { return chaos.Jitter(); });
-  }
+  ChaosStream chaos(config.seed, config.max_jitter, config.decision_limit);
+  chaos.Install(sys, config.permute_tasks);
 
   sys.Run(litmus->Program());
 

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/check/oracle.h"
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/fault/fault_plan.h"
 #include "src/net/reliable_channel.h"
@@ -79,6 +80,49 @@ struct ChaosDecision {
   uint64_t index = 0;
   char kind = '?';
   uint64_t value = 0;
+};
+
+class System;
+
+// The seeded chaos decision stream behind both schedule hooks, shared by the
+// checker and the fuzzer (src/fuzz/harness.h). Decision i replays
+// prefix[i] while the pinned prefix lasts, then draws from the seed's Rng —
+// so an empty prefix gives the checker's stream for the same seed. Decisions
+// past `limit` return the deterministic defaults (tiebreak 0, jitter 0)
+// without consuming the Rng, so (seed, prefix, limit) identifies a schedule
+// exactly.
+class ChaosStream {
+ public:
+  ChaosStream(uint64_t seed, SimTime max_jitter,
+              uint64_t limit = std::numeric_limits<uint64_t>::max(),
+              const std::vector<uint64_t>* prefix = nullptr)
+      : rng_(seed ^ 0xc2b2ae3d27d4eb4fULL), max_jitter_(max_jitter), limit_(limit),
+        prefix_(prefix) {}
+  ChaosStream(const ChaosStream&) = delete;
+  ChaosStream& operator=(const ChaosStream&) = delete;
+
+  // Drives `sys`'s event tie-breaker (if `permute_tasks`) and delivery
+  // jitter (if max_jitter > 0) from this stream, which must outlive the run.
+  void Install(System& sys, bool permute_tasks);
+
+  uint64_t Tiebreak();
+  SimTime Jitter();
+
+  uint64_t count() const { return count_; }
+  // The first decisions drawn, up to a cap.
+  std::vector<ChaosDecision> trace() && { return std::move(trace_); }
+
+ private:
+  // The next raw decision, or false past the limit.
+  bool Next(uint64_t* raw);
+  void Record(char kind, uint64_t value);
+
+  Rng rng_;
+  SimTime max_jitter_;
+  uint64_t limit_;
+  const std::vector<uint64_t>* prefix_;
+  uint64_t count_ = 0;
+  std::vector<ChaosDecision> trace_;
 };
 
 struct CheckResult {

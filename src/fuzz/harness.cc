@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <utility>
 
+#include "src/check/explorer.h"
 #include "src/check/oracle.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
@@ -55,36 +57,6 @@ struct WordInfo {
   NodeId writer = kInvalidNode;
   bool multi = false;           // More than one writing node.
   uint64_t last_value = 0;      // Program-order-last value of `writer`.
-};
-
-// The decision stream: prefix-pinned, then Rng continuation. Same xor
-// constant as the explorer's Chaos so an empty prefix reproduces svmcheck's
-// decision stream for the same seed.
-class PrefixChaos {
- public:
-  explicit PrefixChaos(const ScheduleGenome& s)
-      : genome_(&s), rng_(s.seed ^ 0xc2b2ae3d27d4eb4fULL) {}
-
-  uint64_t Tiebreak() { return NextRaw(); }
-
-  SimTime Jitter() {
-    return static_cast<SimTime>(
-        NextRaw() % (static_cast<uint64_t>(genome_->max_jitter) + 1));
-  }
-
-  uint64_t count() const { return count_; }
-
- private:
-  uint64_t NextRaw() {
-    const uint64_t v = count_ < genome_->prefix.size() ? genome_->prefix[count_]
-                                                       : rng_.NextU64();
-    ++count_;
-    return v;
-  }
-
-  const ScheduleGenome* genome_;
-  Rng rng_;
-  uint64_t count_ = 0;
 };
 
 struct HarnessState {
@@ -263,14 +235,10 @@ RunOutcome RunGenome(const FuzzInput& input, const HarnessConfig& config,
     sys.SetCoverageObserver(cov);
   }
 
-  PrefixChaos chaos(input.schedule);
-  if (config.permute_tasks) {
-    sys.engine().SetTieBreaker([&chaos] { return chaos.Tiebreak(); });
-  }
-  if (input.schedule.max_jitter > 0) {
-    sys.network().SetDeliveryJitterHook(
-        [&chaos](NodeId, NodeId, MsgType) { return chaos.Jitter(); });
-  }
+  // The checker's decision stream with the genome's prefix pinned.
+  ChaosStream chaos(input.schedule.seed, input.schedule.max_jitter,
+                    std::numeric_limits<uint64_t>::max(), &input.schedule.prefix);
+  chaos.Install(sys, config.permute_tasks);
 
   HarnessState state;
   state.genome = &g;

@@ -112,15 +112,15 @@ void ReliableChannel::OnTimeout(NodeId src, NodeId dst, uint64_t seq) {
   TransmitAttempt(sp, seq);
 }
 
-void ReliableChannel::SendAck(const WireFrame& data_frame) {
+void ReliableChannel::SendAck(NodeId acker, NodeId peer, std::vector<uint64_t> seqs) {
   auto ack = std::make_shared<WireFrame>();
-  ack->src = data_frame.dst;
-  ack->dst = data_frame.src;
+  ack->src = acker;
+  ack->dst = peer;
   ack->type = MsgType::kAck;
-  ack->protocol_bytes = config_.ack_bytes;
   ack->is_ack = true;
-  ack->ack_seqs.push_back(data_frame.seq);
-  ++network_->stats_[data_frame.dst].acks_sent;
+  ack->protocol_bytes = config_.ack_bytes * static_cast<int64_t>(seqs.size());
+  ack->ack_seqs = std::move(seqs);
+  ++network_->stats_[acker].acks_sent;
   network_->Transmit(ack, /*retransmit=*/false);
 }
 
@@ -177,16 +177,7 @@ void ReliableChannel::FlushAcks(NodeId acker, NodeId peer) {
   if (ap.pending.empty()) {
     return;  // Everything piggybacked in the meantime.
   }
-  auto ack = std::make_shared<WireFrame>();
-  ack->src = acker;
-  ack->dst = peer;
-  ack->type = MsgType::kAck;
-  ack->is_ack = true;
-  ack->ack_seqs = std::move(ap.pending);
-  ap.pending.clear();
-  ack->protocol_bytes = config_.ack_bytes * static_cast<int64_t>(ack->ack_seqs.size());
-  ++network_->stats_[acker].acks_sent;
-  network_->Transmit(ack, /*retransmit=*/false);
+  SendAck(acker, peer, std::exchange(ap.pending, {}));
 }
 
 void ReliableChannel::OnArrival(const std::shared_ptr<WireFrame>& frame) {
@@ -202,7 +193,7 @@ void ReliableChannel::OnArrival(const std::shared_ptr<WireFrame>& frame) {
   if (piggyback_) {
     QueueAck(*frame);
   } else {
-    SendAck(*frame);
+    SendAck(frame->dst, frame->src, {frame->seq});
   }
 
   ReceiverPair& rp = receivers_[PairIndex(frame->src, frame->dst)];

@@ -138,7 +138,8 @@ class ReliableChannel {
 
   void TransmitAttempt(SenderPair& sp, uint64_t seq);
   void OnTimeout(NodeId src, NodeId dst, uint64_t seq);
-  void SendAck(const WireFrame& data_frame);
+  // Sends one standalone ack frame from `acker` to `peer` covering `seqs`.
+  void SendAck(NodeId acker, NodeId peer, std::vector<uint64_t> seqs);
 
   // Retires every seq in `frame->ack_seqs` exactly once: the unacked-map
   // erase is the idempotence guard, so duplicate acks (standalone re-acks,
