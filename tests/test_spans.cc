@@ -47,7 +47,7 @@ void ExpectExactPartition(const CritPathSummary& sum, const std::string& where) 
 
 TEST(SpanDag, WellFormedAcrossPaperAppsAndProtocols) {
   for (const std::string& app_name : AppNames()) {
-    for (ProtocolKind kind : testing::PaperProtocols()) {
+    for (ProtocolKind kind : testing::AllProtocols()) {
       const std::string where = app_name + "/" + ProtocolName(kind);
       std::unique_ptr<App> app = MakeApp(app_name, AppScale::kTiny);
       SimConfig cfg;
