@@ -423,8 +423,9 @@ void LrcProtocol::HandleProtocolMessage(Message msg) {
     }
     case MsgType::kGcInfo: {
       auto* p = static_cast<GcInfoPayload*>(msg.payload.get());
-      Serve(msg, Route::kReply, costs().gc_per_page * static_cast<SimTime>(p->entries.size()),
-            BusyCat::kGc, 0,
+      // Costed before the handler moves the entries away.
+      const SimTime cost = costs().gc_per_page * static_cast<SimTime>(p->entries.size());
+      Serve(msg, Route::kReply, cost, BusyCat::kGc, 0,
             [this, node = p->node, entries = std::move(p->entries)]() mutable {
               HandleGcInfo(node, std::move(entries));
             });
@@ -432,8 +433,8 @@ void LrcProtocol::HandleProtocolMessage(Message msg) {
     }
     case MsgType::kGcValidate: {
       auto* p = static_cast<GcValidatePayload*>(msg.payload.get());
-      Serve(msg, Route::kRequest,
-            costs().gc_per_page * static_cast<SimTime>(p->validators.size()), BusyCat::kGc, 0,
+      const SimTime cost = costs().gc_per_page * static_cast<SimTime>(p->validators.size());
+      Serve(msg, Route::kRequest, cost, BusyCat::kGc, 0,
             [this, validators = std::move(p->validators), intervals = std::move(p->intervals)] {
               ApplyGcValidate(validators, intervals);
             });

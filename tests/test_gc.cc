@@ -124,6 +124,35 @@ TEST(Gc, GcTimeAppearsInBreakdown) {
 }
 
 
+// Every GC service is charged per page. Two nodes write one private page
+// each and falsely share a third, then one barrier forces a collection.
+// Node 0 (the barrier manager) receives node 1's two-page inventory,
+// validates the shared page (its interval is the last writer's under the
+// total order, and node 1's concurrent diff is still pending there) and
+// releases the three collected pages. Node 1 inventories its two diffs,
+// receives the three validator assignments and releases the three pages.
+TEST(Gc, ServicesAreChargedPerPage) {
+  SimConfig cfg = SmallConfig(ProtocolKind::kLrc, 2);
+  cfg.protocol.gc_threshold_bytes = 0;
+  cfg.costs.gc_fixed = 0;
+  System sys(cfg);
+  const GlobalAddr addr = sys.space().AllocPageAligned(3 * 1024);
+  sys.Run([&](NodeContext& ctx) -> Task<void> {
+    const GlobalAddr own = addr + static_cast<GlobalAddr>(ctx.id()) * 1024;
+    const GlobalAddr shared = addr + 2 * 1024 + static_cast<GlobalAddr>(ctx.id()) * 512;
+    co_await ctx.Write(own, 8);
+    *ctx.Ptr<int64_t>(own) = ctx.id() + 1;
+    co_await ctx.Write(shared, 8);
+    *ctx.Ptr<int64_t>(shared) = ctx.id() + 1;
+    co_await ctx.Barrier(0);
+  });
+  const RunReport& report = sys.report();
+  ASSERT_EQ(report.Totals().proto.gc_runs, 2);
+  const SimTime per_page = cfg.costs.gc_per_page;
+  EXPECT_EQ(report.nodes[0].cpu_busy.Get(BusyCat::kGc), (2 + 1 + 3) * per_page);
+  EXPECT_EQ(report.nodes[1].cpu_busy.Get(BusyCat::kGc), (2 + 3 + 3) * per_page);
+}
+
 TEST(Gc, MigratoryChurnWithAggressiveGcAtScale) {
   // Regression: a GC validator could learn of intervals for its own pages
   // only from the barrier release — after the diffs were collected. LU-like
