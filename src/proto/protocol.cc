@@ -196,22 +196,22 @@ int64_t ProtocolNode::ProtocolMemoryBytes() const {
 }
 
 Diff ProtocolNode::TakeTwinDiff(PageId page) {
-  HLRC_CHECK(env_.pages->HasTwin(page));
-  Diff d = CreateDiff(page, env_.pages->State(page).twin.get(), env_.pages->PageData(page),
-                      env_.pages->page_size(), env_.options->diff_word_bytes);
-  env_.pages->DropTwin(page);
+  HLRC_CHECK(pages().HasTwin(page));
+  Diff d = CreateDiff(page, pages().State(page).twin.get(), pages().PageData(page),
+                      pages().page_size(), env_.options->diff_word_bytes);
+  pages().DropTwin(page);
   return d;
 }
 
 void ProtocolNode::InstallPageData(PageId page, const std::vector<std::byte>& data) {
-  HLRC_CHECK(static_cast<int64_t>(data.size()) == env_.pages->page_size());
-  std::byte* dst = env_.pages->PageData(page);
-  if (env_.pages->HasTwin(page)) {
-    Diff local = CreateDiff(page, env_.pages->State(page).twin.get(), dst,
-                            env_.pages->page_size(), env_.options->diff_word_bytes);
+  HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
+  std::byte* dst = pages().PageData(page);
+  if (pages().HasTwin(page)) {
+    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
+                            env_.options->diff_word_bytes);
     std::memcpy(dst, data.data(), data.size());
-    std::memcpy(env_.pages->State(page).twin.get(), data.data(), data.size());
-    ApplyDiff(local, dst, env_.pages->page_size());
+    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
+    ApplyDiff(local, dst, pages().page_size());
   } else {
     std::memcpy(dst, data.data(), data.size());
   }

@@ -376,7 +376,7 @@ class ProtocolNode {
   struct WaitScope {
     ProtocolNode* node;
     WaitCat cat;
-    WaitCat deduct = WaitCat::kNone;
+    WaitCat deduct;
     SimTime t0;
     SimTime busy0;
     SpanId span = kNoSpan;  // The root span, if the scope opened one.
