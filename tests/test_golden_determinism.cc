@@ -5,7 +5,8 @@
 // behind the paper's tables) is pinned on 8 nodes to
 // tests/golden/summary_8nodes.txt: every protocol family on sor, lu,
 // water-nsq and raytrace, plus runs that force the paths the default
-// configuration never takes (homeless garbage collection, home migration).
+// configuration never takes (homeless garbage collection, home migration,
+// lazy diffs, a lossy fabric under reliable delivery).
 // Any change to scheduling,
 // protocol logic, cost model or network timing that alters behavior shows up
 // as a diff of that file — intentional changes are re-pinned with
@@ -149,6 +150,21 @@ std::string BuildSummary() {
       cfg.protocol.migrate_homes = true;
       os << FormatSummary(app, kind, GoldenRun(app, cfg)) << " home=single-node migrate_homes\n";
     }
+  }
+  // Lazy diffs: the diff-create charge deferred to the first diff request.
+  for (const std::string app : {"water-nsq", "lu"}) {
+    SimConfig cfg = GoldenConfig(ProtocolKind::kLrc);
+    cfg.protocol.diff_policy = DiffPolicy::kLazy;
+    os << FormatSummary(app, ProtocolKind::kLrc, GoldenRun(app, cfg)) << " diff_policy=lazy\n";
+  }
+  // A lossy fabric under reliable delivery: diff replies are retransmitted.
+  for (ProtocolKind kind : {ProtocolKind::kLrc, ProtocolKind::kOlrc}) {
+    SimConfig cfg = GoldenConfig(kind);
+    cfg.fault.drop_prob = 0.02;
+    cfg.reliability.enabled = true;
+    const RunReport report = GoldenRun("water-nsq", cfg);
+    os << FormatSummary("water-nsq", kind, report) << " fault_drop=0.02 reliable retransmits="
+       << report.Totals().traffic.msgs_retransmitted << "\n";
   }
   return os.str();
 }
