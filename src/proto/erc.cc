@@ -62,7 +62,7 @@ void ErcProtocol::FlushBarrier(std::function<void()> done) {
   flush_waiters_.push_back(std::move(done));
 }
 
-bool ErcProtocol::OnWriteNotice(const IntervalRecord& /*rec*/, PageId /*page*/) {
+bool ErcProtocol::OnWriteNotice(const IntervalPtr& /*rec*/, PageId /*page*/) {
   // Never reached: no interval records are published (see OnIntervalClosed).
   return false;
 }

@@ -27,7 +27,7 @@ class ErcProtocol : public ProtocolNode {
 
  protected:
   void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
+  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
   int64_t SubclassMemoryBytes() const override;

@@ -8,24 +8,27 @@ namespace hlrc {
 // ---------------------------------------------------------------------------
 // Required / applied flush timestamp bookkeeping.
 
-void HlrcProtocol::UpdateRequired(PageId page, NodeId writer, uint32_t id) {
-  Required& req = required_flush_[page];
-  for (auto& [w, i] : req) {
+const HlrcProtocol::Required& HlrcProtocol::UpdateRequired(PageId page, NodeId writer,
+                                                           uint32_t id) {
+  RequiredFlush& rf = required_flush_[page];
+  for (auto& [w, i] : rf.pairs) {
     if (w == writer) {
       if (id > i) {
         i = id;
-        ++required_epoch_[page];
+        ++rf.epoch;
       }
-      return;
+      return rf.pairs;
     }
   }
-  req.emplace_back(writer, id);
-  ++required_epoch_[page];
+  rf.pairs.emplace_back(writer, id);
+  ++rf.epoch;
+  ++required_pairs_;
+  return rf.pairs;
 }
 
 uint64_t HlrcProtocol::RequiredEpoch(PageId page) const {
-  auto it = required_epoch_.find(page);
-  return it == required_epoch_.end() ? 0 : it->second;
+  auto it = required_flush_.find(page);
+  return it == required_flush_.end() ? 0 : it->second.epoch;
 }
 
 NodeId HlrcProtocol::BelievedHomeOf(PageId page) const {
@@ -35,7 +38,7 @@ NodeId HlrcProtocol::BelievedHomeOf(PageId page) const {
 
 const HlrcProtocol::Required* HlrcProtocol::RequiredOf(PageId page) const {
   auto it = required_flush_.find(page);
-  return it == required_flush_.end() ? nullptr : &it->second;
+  return it == required_flush_.end() ? nullptr : &it->second.pairs;
 }
 
 void HlrcProtocol::SetApplied(PageId page, NodeId writer, uint32_t id) {
@@ -155,15 +158,14 @@ void HlrcProtocol::SendPageRequest(NodeId dst, PageId page, NodeId requester,
 // ---------------------------------------------------------------------------
 // Write notices.
 
-bool HlrcProtocol::OnWriteNotice(const IntervalRecord& rec, PageId page) {
-  UpdateRequired(page, rec.writer, rec.id);
+bool HlrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
+  const Required& req = UpdateRequired(page, rec->writer, rec->id);
   PageState& st = pages().State(page);
   if (IsHomeHere(page)) {
     // The master copy lives here. If the announced diffs have already been
     // applied there is nothing to do — this is why home accesses take no
     // page faults. Only an in-flight diff forces a temporary invalidation.
-    const Required* req = RequiredOf(page);
-    if (req == nullptr || AppliedSatisfies(page, *req)) {
+    if (AppliedSatisfies(page, req)) {
       return false;
     }
   }
@@ -501,11 +503,8 @@ void HlrcProtocol::HandleProtocolMessage(Message msg) {
 int64_t HlrcProtocol::SubclassMemoryBytes() const {
   // Home-based protocol data: per-page flush timestamps and transient diffs.
   // Write notices carry no vector timestamps (paper §4.7).
-  int64_t required_bytes = 0;
-  for (const auto& [page, req] : required_flush_) {
-    required_bytes += 8 * static_cast<int64_t>(req.size());
-  }
-  int64_t applied_bytes =
+  const int64_t required_bytes = 8 * required_pairs_;
+  const int64_t applied_bytes =
       static_cast<int64_t>(applied_flush_.size()) * 4 * static_cast<int64_t>(nodes());
   const int64_t migration_bytes =
       static_cast<int64_t>(home_override_.size()) * 8 +

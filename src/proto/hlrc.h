@@ -29,7 +29,7 @@ class HlrcProtocol : public ProtocolNode {
 
  protected:
   void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
+  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
   int64_t SubclassMemoryBytes() const override;
@@ -76,7 +76,8 @@ class HlrcProtocol : public ProtocolNode {
 
   // Required-flush bookkeeping (faulting side). Protected: the AURC subclass
   // reuses the home machinery with a different update-capture model.
-  void UpdateRequired(PageId page, NodeId writer, uint32_t id);
+  // UpdateRequired returns the page's list after the update.
+  const Required& UpdateRequired(PageId page, NodeId writer, uint32_t id);
   const Required* RequiredOf(PageId page) const;
   // Bumped whenever a page's required set grows; lets an in-flight fetch
   // detect that a new write notice arrived while it waited for the home.
@@ -105,8 +106,14 @@ class HlrcProtocol : public ProtocolNode {
 
   std::unordered_map<PageId, std::vector<uint32_t>> applied_flush_;
   std::unordered_map<PageId, std::vector<PendingReq>> pending_reqs_;
-  std::unordered_map<PageId, Required> required_flush_;
-  std::unordered_map<PageId, uint64_t> required_epoch_;
+  // A page's required-flush list: the (writer, interval) pairs a fetch of
+  // the page must see applied at the home. Lists only grow.
+  struct RequiredFlush {
+    Required pairs;
+    uint64_t epoch = 0;  // See RequiredEpoch.
+  };
+  std::unordered_map<PageId, RequiredFlush> required_flush_;
+  int64_t required_pairs_ = 0;  // Sum of the lists' lengths.
   std::unordered_map<PageId, FaultWait> fault_waiting_;
 
   // Home migration state.

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "src/common/check.h"
 #include "src/common/types.h"
 #include "src/mem/small_vec.h"
 #include "src/proto/vector_clock.h"
@@ -48,19 +49,34 @@ struct IntervalRecord {
     return size;
   }
 
-  // Caches both encoded sizes. Called once when the record is published into
-  // an IntervalLog; published records are immutable (every handle aliases the
-  // same object), so the cache can never go stale.
+  // Caches both encoded sizes and the timestamp's component sum. Called once
+  // when the record is published into an IntervalLog; published records are
+  // immutable (every handle aliases the same object), so the cache can never
+  // go stale.
   void Seal() {
     cached_size_without_vt = ComputeEncodedSize(false);
     cached_size_with_vt = ComputeEncodedSize(true);
+    cached_vt_sum = vt.Sum();
   }
   bool sealed() const { return cached_size_without_vt >= 0; }
 
   // -1 until Seal().
   int64_t cached_size_with_vt = -1;
   int64_t cached_size_without_vt = -1;
+  int64_t cached_vt_sum = -1;
 };
+
+// The order in which a homeless fault applies collected diffs: exactly
+// a.vt.TotalOrderLess(b.vt) (sum, then lexicographic), with the sums read
+// from the Seal() cache instead of re-added on every comparison. Both
+// records must be sealed.
+inline bool ApplyOrderLess(const IntervalRecord& a, const IntervalRecord& b) {
+  HLRC_DCHECK(a.sealed() && b.sealed());
+  if (a.cached_vt_sum != b.cached_vt_sum) {
+    return a.cached_vt_sum < b.cached_vt_sum;
+  }
+  return a.vt.raw() < b.vt.raw();
+}
 
 // Key identifying one interval of one writer.
 struct IntervalKey {

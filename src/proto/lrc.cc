@@ -30,7 +30,7 @@ void LrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
 
     StoredDiff sd;
     sd.bytes = d.EncodedSize();
-    sd.diff = std::move(d);
+    sd.diff = std::make_shared<const Diff>(std::move(d));
     sd.vt = rec->vt;
     sd.ready = !overlapped();
     sd.cost_charged = !lazy;
@@ -76,7 +76,7 @@ void LrcProtocol::MarkDiffReady(PageId page, uint32_t id) {
 // ---------------------------------------------------------------------------
 // Write notices.
 
-bool LrcProtocol::OnWriteNotice(const IntervalRecord& rec, PageId page) {
+bool LrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
   PageState& st = pages().State(page);
   if (env().options->mutation == TestMutation::kLrcSkipInvalidate && !mutation_fired_ &&
       st.prot != PageProt::kNone) {
@@ -86,7 +86,7 @@ bool LrcProtocol::OnWriteNotice(const IntervalRecord& rec, PageId page) {
     mutation_fired_ = true;
     return false;
   }
-  pending_[page].push_back(PendingWn{rec.writer, rec.id, rec.vt});
+  pending_[page].push_back(PendingWn{rec->writer, rec->id, rec});
   ++pending_count_;
   const bool was_mapped = st.prot != PageProt::kNone;
   st.prot = PageProt::kNone;
@@ -228,9 +228,13 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
   // Apply in happens-before order; concurrent diffs (false sharing) touch
   // disjoint words and get a deterministic tiebreak.
   std::sort(collected.begin(), collected.end(),
-            [](const auto& a, const auto& b) { return std::get<0>(a).TotalOrderLess(std::get<0>(b)); });
+            [](const CollectedDiff& a, const CollectedDiff& b) {
+              return ApplyOrderLess(*a.rec, *b.rec);
+            });
 
-  for (auto& [vt, id, writer, diff] : collected) {
+  for (const CollectedDiff& c : collected) {
+    const Diff& diff = *c.diff;
+    const NodeId writer = c.rec->writer;
     const SimTime t_apply = engine()->Now();
     co_await ChargeCpu(costs().DiffApplyCost(diff.DataBytes()), BusyCat::kDiffApply);
     SpanEmit(SpanKind::kDiffApply, t_apply, cur_fault_span_, page, writer);
@@ -242,7 +246,7 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
     }
     ++stats_.diffs_applied;
     MetricDiffApplied(page, diff.DataBytes());
-    SetCovered(page, writer, id);
+    SetCovered(page, writer, c.rec->id);
   }
   PrunePendingCovered(page);
 }
@@ -284,15 +288,26 @@ Task<void> LrcProtocol::FetchFullPage(PageId page) {
 
 void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
                                    const std::vector<uint32_t>& ids) {
+  auto payload = std::make_unique<DiffReplyPayload>();
+  payload->page = page;
+  payload->writer = self();
+  payload->diffs.reserve(ids.size());
+  int64_t update_bytes = 0;
+  // Lazy policy: diffs whose creation cost has not been charged yet are
+  // computed now, on the serving processor, before the reply goes out.
+  SimTime deferred_cost = 0;
   for (uint32_t id : ids) {
     auto it = diff_store_.find(DiffKey{page, id});
     HLRC_CHECK_MSG(it != diff_store_.end(), "node %d: no diff for page %d interval %u", self(),
                    page, id);
-    if (!it->second.ready) {
+    StoredDiff& sd = it->second;
+    if (!sd.ready) {
       // Diff computation still in progress on the co-processor: queue the
       // request until it completes (paper §2.4.1). The retry runs from the
       // co-processor's completion, so re-establish the requester's causal
-      // context explicitly.
+      // context explicitly. Only overlapped diffs are ever unready, and
+      // those are never lazy, so no creation cost was claimed above.
+      HLRC_DCHECK(deferred_cost == 0);
       diff_ready_waiters_[DiffKey{page, id}].push_back(
           [this, page, requester, ids, cause = active_span_] {
             SpanCause sc(this, cause);
@@ -300,24 +315,10 @@ void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
           });
       return;
     }
-  }
-  // Lazy policy: diffs whose creation cost has not been charged yet are
-  // computed now, on the serving processor, before the reply goes out.
-  SimTime deferred_cost = 0;
-  for (uint32_t id : ids) {
-    StoredDiff& sd = diff_store_.at(DiffKey{page, id});
     if (!sd.cost_charged) {
       sd.cost_charged = true;
       deferred_cost += sd.create_cost;
     }
-  }
-
-  auto payload = std::make_unique<DiffReplyPayload>();
-  payload->page = page;
-  payload->writer = self();
-  int64_t update_bytes = 0;
-  for (uint32_t id : ids) {
-    const StoredDiff& sd = diff_store_.at(DiffKey{page, id});
     payload->diffs.emplace_back(id, sd.diff);
     update_bytes += sd.bytes;
   }
@@ -377,14 +378,15 @@ void LrcProtocol::HandleProtocolMessage(Message msg) {
               auto it = faults_.find(page);
               HLRC_CHECK(it != faults_.end());
               FaultCtx& ctx = it->second;
+              const std::vector<PendingWn>& pend = pending_.at(page);
               for (auto& [id, diff] : diffs) {
-                // Look up the interval vt from the pending write notice.
-                const std::vector<PendingWn>& pend = pending_.at(page);
+                // The pending write notice holds the record that orders the
+                // diff's application.
                 auto wit = std::find_if(pend.begin(), pend.end(), [&](const PendingWn& wn) {
                   return wn.writer == writer && wn.id == id;
                 });
                 HLRC_CHECK(wit != pend.end());
-                ctx.collected.emplace_back(wit->vt, id, writer, std::move(diff));
+                ctx.collected.push_back(CollectedDiff{wit->rec, std::move(diff)});
               }
               if (--ctx.replies_needed == 0) {
                 ctx.done->Complete();

@@ -24,13 +24,16 @@
 
 namespace hlrc {
 
+// Handle to a stored (immutable) diff.
+using DiffPtr = std::shared_ptr<const Diff>;
+
 class LrcProtocol : public ProtocolNode {
  public:
   explicit LrcProtocol(const Env& env) : ProtocolNode(env) {}
 
  protected:
   void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
+  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
   int64_t SubclassMemoryBytes() const override;
@@ -38,8 +41,12 @@ class LrcProtocol : public ProtocolNode {
   void OnBarrierReleased() override;
 
  private:
+  // A diff kept at its writer. The diff itself is immutable once stored:
+  // every reply that ships it aliases this one object, and a handle in
+  // flight (or retransmitted) outlives the garbage collection that drops the
+  // store entry.
   struct StoredDiff {
-    Diff diff;
+    DiffPtr diff;
     VectorClock vt;  // Writer's vt at the interval that produced the diff.
     bool ready = true;
     // Lazy diff policy: the creation cost is deferred to the first request.
@@ -49,17 +56,26 @@ class LrcProtocol : public ProtocolNode {
   };
   using DiffKey = std::pair<PageId, uint32_t>;
 
+  // A write notice not yet applied to the local copy. Writer and id stay
+  // inline for the grouping and pruning scans; the record handle carries the
+  // timestamp that orders the diff's application and keeps the record alive
+  // after the interval log's barrier truncation.
   struct PendingWn {
     NodeId writer;
     uint32_t id;
-    VectorClock vt;
+    IntervalPtr rec;
+  };
+
+  // One diff collected from a reply, with the record that orders it.
+  struct CollectedDiff {
+    IntervalPtr rec;
+    DiffPtr diff;
   };
 
   // In-flight fault resolution for one page.
   struct FaultCtx {
     int replies_needed = 0;
-    // (vt, interval id, writer, diff) collected from replies.
-    std::vector<std::tuple<VectorClock, uint32_t, NodeId, Diff>> collected;
+    std::vector<CollectedDiff> collected;
     std::vector<std::byte> page_data;
     std::vector<std::pair<NodeId, uint32_t>> page_covered;
     std::unique_ptr<Completion> done;
@@ -142,7 +158,8 @@ struct DiffRequestPayload : Payload {
 struct DiffReplyPayload : Payload {
   PageId page;
   NodeId writer;
-  std::vector<std::pair<uint32_t, Diff>> diffs;
+  // (interval id, the writer's stored diff): aliased, not copied.
+  std::vector<std::pair<uint32_t, DiffPtr>> diffs;
 };
 
 struct HomelessPageRequestPayload : Payload {

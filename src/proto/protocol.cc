@@ -315,7 +315,7 @@ SimTime ProtocolNode::ApplyIntervals(const IntervalBatch& recs) {
     cost += costs().wn_apply * static_cast<SimTime>(rec.pages.size());
     for (PageId p : rec.pages) {
       const PageProt before = env_.pages->State(p).prot;
-      const bool did_invalidate = OnWriteNotice(rec, p);
+      const bool did_invalidate = OnWriteNotice(handle, p);
       if (did_invalidate) {
         ++invalidated;
       }

@@ -215,9 +215,11 @@ class ProtocolNode {
   };
   virtual void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) = 0;
 
-  // Invalidation bookkeeping for one write notice. Returns true if the page
-  // mapping was actually invalidated (for cost accounting).
-  virtual bool OnWriteNotice(const IntervalRecord& rec, PageId page) = 0;
+  // Invalidation bookkeeping for one write notice of the published record
+  // `rec`. A subclass that keeps the notice may keep the handle: the record is
+  // immutable and outlives the interval log's barrier truncation. Returns true
+  // if the page mapping was actually invalidated (for cost accounting).
+  virtual bool OnWriteNotice(const IntervalPtr& rec, PageId page) = 0;
 
   // Brings `page` up to date after a fault. The page-fault entry cost has
   // already been charged. Runs on the faulting node's app coroutine.

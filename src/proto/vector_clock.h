@@ -67,6 +67,15 @@ class VectorClock {
     return v_ < o.v_;
   }
 
+  // Sum of the components: the first key of TotalOrderLess.
+  int64_t Sum() const {
+    int64_t sum = 0;
+    for (uint32_t c : v_) {
+      sum += c;
+    }
+    return sum;
+  }
+
   // Wire/storage footprint: 4 bytes per component.
   int64_t EncodedSize() const { return static_cast<int64_t>(v_.size()) * 4; }
 

@@ -2,6 +2,8 @@
 // the checker oracle are built on: VectorClock (src/proto/vector_clock.h)
 // and interval records/keys (src/proto/interval.h). Each property is checked
 // over a few thousand Rng-driven cases; failures print the violating clocks.
+// The cached apply order is checked differentially against
+// VectorClock::TotalOrderLess, its reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -173,6 +175,69 @@ TEST(IntervalProperty, EncodedSizeCountsNoticesAndOptionalTimestamp) {
     EXPECT_EQ(rec.EncodedSize(/*with_vt=*/true) - rec.EncodedSize(/*with_vt=*/false),
               4 * nodes);
     EXPECT_EQ(rec.vt.EncodedSize(), 4 * nodes);
+  }
+}
+
+IntervalRecord SealedRecord(const VectorClock& vt) {
+  IntervalRecord rec;
+  rec.vt = vt;
+  rec.Seal();
+  return rec;
+}
+
+// The homeless fault path sorts collected diffs with ApplyOrderLess, which
+// reads the component sums cached at Seal(). It must answer exactly what the
+// reference VectorClock::TotalOrderLess answers, so that std::sort yields the
+// same permutation. Small components make equal sums common; a third of the
+// pairs are equal-sum rearrangements and a sixth are equal timestamps.
+TEST(IntervalProperty, ApplyOrderMatchesTotalOrderReference) {
+  Rng rng(9);
+  int equal_sums = 0;
+  int equal_clocks = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const int nodes = 1 + static_cast<int>(rng.NextBounded(64));
+    const VectorClock va = RandomClock(rng, nodes, 3);
+    VectorClock vb = RandomClock(rng, nodes, 3);
+    const uint64_t shape = rng.NextBounded(6);
+    if (shape == 0) {
+      vb = va;
+    } else if (shape <= 2) {
+      // Move one unit between two components: same sum, other order.
+      vb = va;
+      const NodeId from = static_cast<NodeId>(rng.NextBounded(static_cast<uint64_t>(nodes)));
+      const NodeId to = static_cast<NodeId>(rng.NextBounded(static_cast<uint64_t>(nodes)));
+      if (vb.Get(from) > 0) {
+        vb.Set(from, vb.Get(from) - 1);
+        vb.Set(to, vb.Get(to) + 1);
+      }
+    }
+    const IntervalRecord a = SealedRecord(va);
+    const IntervalRecord b = SealedRecord(vb);
+    equal_sums += va.Sum() == vb.Sum() ? 1 : 0;
+    equal_clocks += va == vb ? 1 : 0;
+    EXPECT_EQ(ApplyOrderLess(a, b), va.TotalOrderLess(vb)) << Show(va) << " " << Show(vb);
+    EXPECT_EQ(ApplyOrderLess(b, a), vb.TotalOrderLess(va)) << Show(va) << " " << Show(vb);
+  }
+  EXPECT_GT(equal_sums, 300);
+  EXPECT_GT(equal_clocks, 100);
+
+  // Whole sorts: the same permutation from either comparator.
+  for (int i = 0; i < 100; ++i) {
+    const int nodes = 1 + static_cast<int>(rng.NextBounded(64));
+    std::vector<IntervalRecord> recs;
+    for (int r = 0; r < 24; ++r) {
+      recs.push_back(SealedRecord(RandomClock(rng, nodes, 1)));
+    }
+    std::vector<int> by_reference(recs.size());
+    for (size_t r = 0; r < recs.size(); ++r) {
+      by_reference[r] = static_cast<int>(r);
+    }
+    std::vector<int> by_cache = by_reference;
+    std::sort(by_reference.begin(), by_reference.end(),
+              [&recs](int x, int y) { return recs[x].vt.TotalOrderLess(recs[y].vt); });
+    std::sort(by_cache.begin(), by_cache.end(),
+              [&recs](int x, int y) { return ApplyOrderLess(recs[x], recs[y]); });
+    EXPECT_EQ(by_reference, by_cache);
   }
 }
 
