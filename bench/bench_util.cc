@@ -108,6 +108,10 @@ BenchOptions ParseArgs(int argc, char** argv) {
   if (opts.apps.empty()) {
     opts.apps = AppNames();
   }
+  const SimConfig cfg = BaseConfig(opts, opts.protocols.front(), opts.node_counts.front());
+  if (const std::string error = cfg.Validate(); !error.empty()) {
+    Usage(argv[0], error);
+  }
   return opts;
 }
 

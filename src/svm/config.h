@@ -3,6 +3,7 @@
 #define SRC_SVM_CONFIG_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/common/types.h"
 #include "src/fault/fault_plan.h"
@@ -12,6 +13,17 @@
 #include "src/proto/options.h"
 
 namespace hlrc {
+
+// Smallest page the simulator accepts: one diff word of the widest
+// granularity (ProtocolOptions::diff_word_bytes).
+constexpr int64_t kMinPageBytes = 8;
+
+// Why `page_size` cannot cut a `shared_bytes` shared space into pages, as a
+// "--page-size=N: expected ..." message, or "" when it can: a page is a power
+// of two, at least `min_bytes` and at most the space. The one check behind
+// every front end's --page-size flag.
+std::string PageSizeError(int64_t page_size, int64_t shared_bytes,
+                          int64_t min_bytes = kMinPageBytes);
 
 struct SimConfig {
   int nodes = 8;
@@ -33,6 +45,11 @@ struct SimConfig {
   // to watch a protocol deadlock.
   FaultPlan fault;
   ReliabilityConfig reliability;
+
+  // Why the simulator would refuse this configuration, naming the flag that
+  // sets the offending value, or "" when it can run it. Front ends call it
+  // before building a System and exit 2 with the message.
+  std::string Validate() const;
 };
 
 }  // namespace hlrc

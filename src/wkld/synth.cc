@@ -353,7 +353,7 @@ bool ParseSynthPattern(const std::string& name, SynthPattern* pattern) {
 
 void GenerateSynthetic(const SynthConfig& cfg, WorkloadSink* sink) {
   HLRC_CHECK(cfg.nodes > 0 && cfg.pages_per_node > 0 && cfg.iterations >= 0);
-  HLRC_CHECK(cfg.page_size >= 256 && cfg.page_size % 16 == 0);
+  HLRC_CHECK(cfg.page_size >= kMinSynthPageSize && cfg.page_size % 16 == 0);
   const int64_t arena = static_cast<int64_t>(cfg.nodes) * cfg.pages_per_node * cfg.page_size;
   // A fresh SharedSpace bump allocator starts at 0, so one page-aligned
   // arena allocation is reproducible by construction.

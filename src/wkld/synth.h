@@ -46,6 +46,9 @@ const std::vector<std::string>& SynthPatternNames();
 const char* SynthPatternName(SynthPattern pattern);
 bool ParseSynthPattern(const std::string& name, SynthPattern* pattern);
 
+// Smallest page the generator lays its patterns out in.
+constexpr int64_t kMinSynthPageSize = 256;
+
 struct SynthConfig {
   SynthPattern pattern = SynthPattern::kSingleWriter;
   int nodes = 8;

@@ -145,6 +145,32 @@ TEST(BenchUtilDeathTest, MalformedValuesExitWithUsage) {
   EXPECT_EXIT(Parse({"--nodes=8,0"}), ExitedWithCode(2), "--nodes=8,0: expected");
   EXPECT_EXIT(Parse({"--fault-drop=1.5"}), ExitedWithCode(2), "--fault-drop=1.5: expected");
   EXPECT_EXIT(Parse({"--page-size=4k"}), ExitedWithCode(2), "--page-size=4k: expected");
+  // Values that parse but cannot cut the shared space into pages.
+  EXPECT_EXIT(Parse({"--page-size=100"}), ExitedWithCode(2),
+              "--page-size=100: expected a power of two");
+  EXPECT_EXIT(Parse({"--page-size=4"}), ExitedWithCode(2), "--page-size=4: expected");
+  EXPECT_EXIT(Parse({"--page-size=536870912"}), ExitedWithCode(2),
+              "--page-size=536870912: expected");
+}
+
+// The one page-size rule every front end applies: a power of two, at least
+// the caller's minimum and at most the shared space.
+TEST(BenchUtil, PageSizeIsAPowerOfTwoWithinTheSpace) {
+  EXPECT_EQ(PageSizeError(4096, 64 << 20), "");
+  EXPECT_EQ(PageSizeError(kMinPageBytes, 1 << 20), "");
+  EXPECT_EQ(PageSizeError(1 << 20, 1 << 20), "");
+  EXPECT_EQ(PageSizeError(100, 64 << 20),
+            "--page-size=100: expected a power of two from 8 to 67108864");
+  EXPECT_NE(PageSizeError(0, 1 << 20), "");
+  EXPECT_NE(PageSizeError(4, 1 << 20), "");
+  EXPECT_NE(PageSizeError(2 << 20, 1 << 20), "");
+  EXPECT_NE(PageSizeError(128, 1 << 20, 256), "");
+  EXPECT_EQ(PageSizeError(256, 1 << 20, 256), "");
+
+  SimConfig cfg;
+  EXPECT_EQ(cfg.Validate(), "");
+  cfg.page_size = 3000;
+  EXPECT_EQ(cfg.Validate(), PageSizeError(3000, cfg.shared_bytes));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "src/check/explorer.h"
 #include "src/common/cli.h"
 #include "src/sim/sweep.h"
+#include "src/svm/config.h"
 
 namespace hlrc {
 namespace {
@@ -148,6 +149,10 @@ Options Parse(int argc, char** argv) {
     } else if (!HandleCommonFlag(kTool, arg)) {
       UsageError(kTool, "unknown flag: " + arg);
     }
+  }
+  if (const std::string error = PageSizeError(o.base.page_size, o.base.shared_bytes);
+      !error.empty()) {
+    UsageError(kTool, error);
   }
   // A lossy fabric needs the reliable channel.
   o.base.reliability.enabled = o.base.fault.drop_prob > 0;

@@ -25,6 +25,8 @@
 #include "src/fuzz/fuzzer.h"
 #include "src/fuzz/repro.h"
 #include "src/sim/sweep.h"
+#include "src/svm/config.h"
+#include "src/wkld/synth.h"
 
 namespace hlrc {
 namespace {
@@ -181,6 +183,12 @@ int Main(int argc, char** argv) {
   }
   if (!replay_path.empty()) {
     return ReplayFile(replay_path);
+  }
+  // Seed workloads come from the synthetic generator, which needs its pages.
+  if (const std::string error =
+          PageSizeError(cfg.page_size, cfg.shared_bytes, wkld::kMinSynthPageSize);
+      !error.empty()) {
+    UsageError(kTool, error);
   }
   cfg.jobs = EffectiveJobs(cfg.jobs, cfg.batch);
 

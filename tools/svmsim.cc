@@ -258,6 +258,9 @@ int Main(int argc, char** argv) {
       cfg.shared_bytes = info.shared_bytes;
     }
   }
+  if (const std::string error = cfg.Validate(); !error.empty()) {
+    UsageError(kTool, error);
+  }
 
   // One root seed feeds every Rng consumer: application inputs and the fault
   // injector draw distinct derived seeds, unless overridden explicitly.

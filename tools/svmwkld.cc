@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/cli.h"
+#include "src/svm/config.h"
 #include "src/wkld/synth.h"
 #include "src/wkld/trace_file.h"
 
@@ -123,6 +124,12 @@ int CmdGen(const Flags& f) {
   }
   cfg.nodes = f.nodes;
   cfg.page_size = f.page_size;
+  if (const std::string error =
+          PageSizeError(cfg.page_size, cfg.shared_bytes, wkld::kMinSynthPageSize);
+      !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", kTool.name, error.c_str());
+    Usage();
+  }
   cfg.pages_per_node = f.pages_per_node;
   cfg.iterations = f.iterations;
   cfg.ops_per_iter = f.ops;
