@@ -2,11 +2,13 @@
 // statistics for a fixed configuration, run to run and commit to commit.
 //
 // A Table-2-style summary (virtual time plus the operation/traffic totals
-// behind the paper's tables) is pinned on 8 nodes to
-// tests/golden/summary_8nodes.txt: every protocol family on sor, lu,
-// water-nsq and raytrace, plus runs that force the paths the default
-// configuration never takes (homeless garbage collection, home migration,
-// lazy diffs, a lossy fabric under reliable delivery).
+// behind the paper's tables) is pinned to tests/golden/summary.txt: on 8
+// nodes, every protocol family on sor, lu, water-nsq and raytrace, plus runs
+// that force the paths the default configuration never takes (homeless
+// garbage collection, home migration, lazy diffs, a lossy fabric under
+// reliable delivery); on 32 and 64 nodes, the paper's four protocols on the
+// same four apps, where the per-node lists of the write-notice plane are
+// longest.
 // Any change to scheduling,
 // protocol logic, cost model or network timing that alters behavior shows up
 // as a diff of that file — intentional changes are re-pinned with
@@ -99,7 +101,7 @@ std::string FormatSummary(const std::string& app_name, ProtocolKind kind,
                           const RunReport& report) {
   const NodeReport t = report.Totals();
   std::ostringstream os;
-  os << app_name << " " << ProtocolName(kind) << " nodes=" << kNodes
+  os << app_name << " " << ProtocolName(kind) << " nodes=" << report.nodes.size()
      << " time=" << report.total_time << " msgs=" << t.traffic.msgs_sent
      << " update_bytes=" << t.traffic.update_bytes_sent
      << " proto_bytes=" << t.traffic.protocol_bytes_sent
@@ -166,10 +168,20 @@ std::string BuildSummary() {
     os << FormatSummary("water-nsq", kind, report) << " fault_drop=0.02 reliable retransmits="
        << report.Totals().traffic.msgs_retransmitted << "\n";
   }
+  // The paper's node counts.
+  for (int nodes : {32, 64}) {
+    for (const std::string app : {"sor", "lu", "water-nsq", "raytrace"}) {
+      for (ProtocolKind kind : PaperProtocols()) {
+        SimConfig cfg = GoldenConfig(kind);
+        cfg.nodes = nodes;
+        os << FormatSummary(app, kind, GoldenRun(app, cfg)) << "\n";
+      }
+    }
+  }
   return os.str();
 }
 
-std::string GoldenPath() { return std::string(HLRC_GOLDEN_DIR) + "/summary_8nodes.txt"; }
+std::string GoldenPath() { return std::string(HLRC_GOLDEN_DIR) + "/summary.txt"; }
 
 TEST(GoldenDeterminism, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(SummaryLine("sor", ProtocolKind::kHlrc), SummaryLine("sor", ProtocolKind::kHlrc));
