@@ -33,7 +33,19 @@ class App {
   // Verifies the converged shared state against a sequential reference.
   // Returns true on success; fills `why` otherwise.
   virtual bool Verify(System& sys, std::string* why) = 0;
+
+  // Why the app cannot run on `config`, as a message naming the flag at
+  // fault, or "" if it can. The command-line tools check it before the run
+  // and exit 2.
+  virtual std::string ConfigError(const SimConfig& config) const {
+    (void)config;
+    return "";
+  }
 };
+
+// ConfigError of an app that splits `rows` rows into one band per node:
+// every node needs at least one row.
+std::string RowBandsError(const std::string& app, int rows, int nodes);
 
 // Problem scale presets.
 enum class AppScale {

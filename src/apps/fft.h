@@ -29,6 +29,9 @@ class FftApp : public App {
   void Setup(System& sys) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
+  std::string ConfigError(const SimConfig& config) const override {
+    return RowBandsError(name(), cfg_.n, config.nodes);
+  }
 
   const FftConfig& config() const { return cfg_; }
 

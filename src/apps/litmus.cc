@@ -236,8 +236,18 @@ class FalseSharingLitmus : public LitmusBase {
   using LitmusBase::LitmusBase;
   std::string name() const override { return "false-sharing"; }
 
+  // One 8-byte word per node, all on one page.
+  std::string ConfigError(int64_t page_size) const override {
+    if (cfg_.nodes * 8 <= page_size) {
+      return "";
+    }
+    return "--page-size=" + std::to_string(page_size) + ": expected at least " +
+           std::to_string(cfg_.nodes * 8) + " for " + name() +
+           " at --nodes=" + std::to_string(cfg_.nodes) + " (one 8-byte word per node)";
+  }
+
   void Setup(System& sys) override {
-    HLRC_CHECK(cfg_.nodes * 8 <= sys.config().page_size);
+    HLRC_CHECK(ConfigError(sys.config().page_size).empty());
     w_ = sys.space().AllocPageAligned(sys.config().page_size);
   }
 

@@ -44,6 +44,14 @@ class LitmusTest {
 
   // The per-node program.
   virtual System::Program Program() = 0;
+
+  // Why the test cannot run on pages of `page_size` bytes, as a message
+  // naming the flag, or "" if it can. svmcheck checks it before the sweep
+  // and exits 2.
+  virtual std::string ConfigError(int64_t page_size) const {
+    (void)page_size;
+    return "";
+  }
 };
 
 // The unique value written by `node` in `round` at `slot` (never 0; 0 is the

@@ -88,6 +88,15 @@ std::unique_ptr<App> MakeApp(const std::string& name, AppScale scale,
   return app;
 }
 
+std::string RowBandsError(const std::string& app, int rows, int nodes) {
+  if (nodes <= rows) {
+    return "";
+  }
+  return "--nodes=" + std::to_string(nodes) + ": expected at most " + std::to_string(rows) +
+         " for " + app + " (one band of its " + std::to_string(rows) +
+         " rows per node at this scale)";
+}
+
 AppRunResult RunApp(App& app, const SimConfig& config) {
   System sys(config);
   app.Setup(sys);

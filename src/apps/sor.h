@@ -28,6 +28,9 @@ class SorApp : public App {
   void Setup(System& sys) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
+  std::string ConfigError(const SimConfig& config) const override {
+    return RowBandsError(name(), cfg_.rows, config.nodes);
+  }
 
   const SorConfig& config() const { return cfg_; }
 

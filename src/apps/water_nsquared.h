@@ -28,6 +28,7 @@ class WaterNsqApp : public App {
   void Setup(System& sys) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
+  std::string ConfigError(const SimConfig& config) const override;
 
   const WaterNsqConfig& config() const { return cfg_; }
 

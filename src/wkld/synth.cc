@@ -219,6 +219,14 @@ class SyntheticApp : public App {
     return std::string("synth-") + SynthPatternName(cfg_.pattern);
   }
 
+  std::string ConfigError(const SimConfig& config) const override {
+    if (config.page_size >= kMinSynthPageSize) {
+      return "";
+    }
+    return "--page-size=" + std::to_string(config.page_size) + ": expected at least " +
+           std::to_string(kMinSynthPageSize) + " for " + name();
+  }
+
   void Setup(System& sys) override {
     // Adapt to the actual topology: synthetic workloads sweep node count and
     // page size, unlike file-trace replay.

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "src/apps/app.h"
+#include "src/apps/litmus.h"
 #include "tests/test_util.h"
 
 namespace hlrc {
@@ -97,6 +98,41 @@ TEST(ConfigNames, RoundTripAndRejectUnknown) {
   ExpectNameTable({HomePolicy::kBlock, HomePolicy::kRoundRobin, HomePolicy::kSingleNode},
                   HomePolicyName, ParseHomePolicyName,
                   {"", "Block", "round_robin", "single"});
+}
+
+// App-specific limits: the configurations a program cannot run on are named
+// before the run, with the flag at fault; the largest ones it can are not.
+TEST(AppLimits, ConfigErrorNamesTheFlag) {
+  SimConfig cfg;
+  auto error = [&cfg](const std::string& app, int nodes) {
+    cfg.nodes = nodes;
+    return MakeApp(app, AppScale::kTiny)->ConfigError(cfg);
+  };
+  EXPECT_EQ(error("sor", 128), "");
+  EXPECT_EQ(error("sor", 1000),
+            "--nodes=1000: expected at most 128 for SOR (one band of its 128 rows per node "
+            "at this scale)");
+  EXPECT_EQ(error("fft", 32), "");
+  EXPECT_NE(error("fft", 33), "");
+  EXPECT_EQ(error("water-nsq", 64), "");
+  EXPECT_NE(error("water-nsq", 3), "");
+  for (const char* app : {"lu", "water-sp", "raytrace"}) {
+    EXPECT_EQ(error(app, 1000), "") << app;
+  }
+}
+
+TEST(AppLimits, FalseSharingLitmusNeedsAWordPerNode) {
+  LitmusConfig lcfg;
+  lcfg.nodes = 4;
+  EXPECT_EQ(MakeLitmus("false-sharing", lcfg)->ConfigError(32), "");
+  EXPECT_EQ(MakeLitmus("false-sharing", lcfg)->ConfigError(8),
+            "--page-size=8: expected at least 32 for false-sharing at --nodes=4 (one 8-byte "
+            "word per node)");
+  for (const std::string& name : LitmusNames()) {
+    if (name != "false-sharing") {
+      EXPECT_EQ(MakeLitmus(name, lcfg)->ConfigError(8), "") << name;
+    }
+  }
 }
 
 }  // namespace

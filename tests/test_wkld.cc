@@ -604,6 +604,18 @@ TEST(Registry, RegisteredNamesIncludePaperAppsAndSynthetics) {
   }
 }
 
+TEST(Synth, PagesBelowTheGeneratorMinimumAreAConfigError) {
+  SimConfig sim;
+  sim.page_size = kMinSynthPageSize;
+  for (const std::string& pattern : SynthPatternNames()) {
+    auto app = MakeApp("synth-" + pattern, AppScale::kTiny);
+    EXPECT_EQ(app->ConfigError(sim), "") << pattern;
+  }
+  sim.page_size = 128;
+  EXPECT_EQ(MakeApp("synth-migratory", AppScale::kTiny)->ConfigError(sim),
+            "--page-size=128: expected at least 256 for synth-migratory");
+}
+
 TEST(Registry, SyntheticAppsComeFromTheFactory) {
   auto app = TryMakeApp("synth-migratory", AppScale::kTiny);
   ASSERT_NE(nullptr, app);

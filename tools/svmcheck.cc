@@ -181,6 +181,16 @@ Options Parse(int argc, char** argv) {
       std::exit(2);
     }
   }
+  // Limits of the litmus programs themselves, before any run.
+  for (const std::string& name : o.litmus) {
+    LitmusConfig lcfg;
+    lcfg.nodes = o.base.nodes;
+    lcfg.rounds = o.base.rounds;
+    if (const std::string error = MakeLitmus(name, lcfg)->ConfigError(o.base.page_size);
+        !error.empty()) {
+      UsageError(kTool, error);
+    }
+  }
   if (o.protocols.empty()) {
     o.protocols = {ProtocolKind::kLrc, ProtocolKind::kErc, ProtocolKind::kHlrc,
                    ProtocolKind::kAurc};

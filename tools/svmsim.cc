@@ -288,6 +288,9 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (const std::string error = app->ConfigError(cfg); !error.empty()) {
+    UsageError(kTool, error);
+  }
   System sys(cfg);
   // Metrics ride along whenever a run summary is requested, and also when a
   // trace is: the Perfetto counter tracks come from the sampler. Causal spans
