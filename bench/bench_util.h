@@ -58,7 +58,15 @@ BenchOptions ParseArgs(int argc, char** argv);
 
 SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes);
 
-// Runs one application once; aborts if verification fails (a benchmark on an
+// Exits 2, naming the flag, if `app` cannot run on `cfg` (App::ConfigError):
+// an application's own limit is a usage error, not a failed run. Checked per
+// run, not by ParseArgs: binaries narrow the apps, node counts and page sizes
+// they run. RunVerified calls it; a binary that runs an app another way calls
+// it before the run.
+void CheckAppLimits(const App& app, const SimConfig& cfg);
+
+// Runs one application once; exits 2 if the app cannot run on `cfg`
+// (CheckAppLimits); aborts if verification fails (a benchmark on an
 // incorrect run would be meaningless).
 AppRunResult RunVerified(const std::string& app_name, const BenchOptions& opts,
                          const SimConfig& cfg);

@@ -28,6 +28,7 @@ std::string Bar(double frac, int width = 40) {
 CritPathSummary RunCausal(const std::string& app_name, const BenchOptions& opts,
                           const SimConfig& cfg) {
   std::unique_ptr<App> app = MakeApp(app_name, opts.scale);
+  CheckAppLimits(*app, cfg);
   System sys(cfg);
   sys.EnableSpans(1 << 22);
   app->Setup(sys);

@@ -37,7 +37,9 @@ int Main(int argc, char** argv) {
       const ProtocolKind kinds[2] = {ProtocolKind::kLrc, ProtocolKind::kHlrc};
       for (int k = 0; k < 2; ++k) {
         SorApp app(scfg);
-        const AppRunResult r = RunApp(app, BaseConfig(opts, kinds[k], nodes));
+        const SimConfig cfg = BaseConfig(opts, kinds[k], nodes);
+        CheckAppLimits(app, cfg);
+        const AppRunResult r = RunApp(app, cfg);
         HLRC_CHECK_MSG(r.verified, "SOR zero-interior failed verification: %s",
                        r.why.c_str());
         reports[k] = r.report;

@@ -55,6 +55,7 @@ RunSig Sig(const RunReport& report) {
 RunSig RecordApp(const std::string& app_name, const BenchOptions& opts,
                  const SimConfig& cfg, const std::string& path) {
   std::unique_ptr<App> app = MakeApp(app_name, opts.scale);
+  CheckAppLimits(*app, cfg);
   System sys(cfg);
   wkld::TraceWriter writer(path, wkld::MakeTraceInfo(cfg, app->name(), "bench"));
   wkld::TraceRecorder recorder(&sys, &writer);
@@ -141,6 +142,7 @@ int Main(int argc, char** argv) {
     for (ProtocolKind kind : opts.protocols) {
       std::unique_ptr<App> app = wkld::MakeSyntheticApp(scfg);
       const SimConfig cfg = BaseConfig(opts, kind, nodes);
+      CheckAppLimits(*app, cfg);
       const AppRunResult r = RunApp(*app, cfg);
       if (!r.verified) {
         std::fprintf(stderr, "synth-%s failed under %s: %s\n", name.c_str(),
