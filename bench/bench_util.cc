@@ -7,7 +7,6 @@
 
 #include "src/common/check.h"
 #include "src/common/cli.h"
-#include "src/metrics/json_writer.h"
 
 namespace hlrc {
 namespace bench {
@@ -150,10 +149,21 @@ SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes) {
 }
 
 AppRunResult RunVerified(const std::string& app_name, const BenchOptions& opts,
-                         const SimConfig& cfg) {
+                         const SimConfig& cfg, CritPathSummary* crit) {
   auto app = MakeApp(app_name, opts.scale);
   CheckAppLimits(*app, cfg);
-  AppRunResult result = RunApp(*app, cfg);
+  System sys(cfg);
+  if (crit != nullptr) {
+    sys.EnableSpans(1 << 22);
+  }
+  app->Setup(sys);
+  sys.Run(app->Program());
+  AppRunResult result;
+  result.report = sys.report();
+  result.verified = app->Verify(sys, &result.why);
+  if (crit != nullptr) {
+    *crit = AttributeCriticalPaths(sys.spans()->spans());
+  }
   if (opts.verify) {
     HLRC_CHECK_MSG(result.verified, "%s failed verification under %s at %d nodes: %s",
                    app_name.c_str(), ProtocolName(cfg.protocol.kind), cfg.nodes,
@@ -175,72 +185,22 @@ std::string FmtSeconds(SimTime t) {
   return buf;
 }
 
-void BenchJson::BeginRow() {
-  HLRC_CHECK_MSG(!in_row_, "BeginRow without EndRow");
-  rows_.emplace_back();
-  in_row_ = true;
+JsonWriter OpenBenchJson(const std::string& bench_name) {
+  JsonWriter json;
+  json.BeginObject();
+  json.KV("schema", "hlrc-bench");
+  json.KV("version", 1);
+  json.KV("bench", bench_name);
+  json.Key("rows");
+  json.BeginArray();
+  return json;
 }
 
-void BenchJson::Add(const std::string& key, const std::string& v) {
-  HLRC_CHECK_MSG(in_row_, "Add outside BeginRow/EndRow");
-  rows_.back().push_back({Field::Kind::kString, key, v, 0, 0.0});
-}
-
-void BenchJson::Add(const std::string& key, const char* v) { Add(key, std::string(v)); }
-
-void BenchJson::Add(const std::string& key, int64_t v) {
-  HLRC_CHECK_MSG(in_row_, "Add outside BeginRow/EndRow");
-  rows_.back().push_back({Field::Kind::kInt, key, "", v, 0.0});
-}
-
-void BenchJson::Add(const std::string& key, double v) {
-  HLRC_CHECK_MSG(in_row_, "Add outside BeginRow/EndRow");
-  rows_.back().push_back({Field::Kind::kDouble, key, "", 0, v});
-}
-
-void BenchJson::EndRow() {
-  HLRC_CHECK_MSG(in_row_, "EndRow without BeginRow");
-  in_row_ = false;
-}
-
-std::string BenchJson::ToJson() const {
-  HLRC_CHECK_MSG(!in_row_, "ToJson with an open row");
-  JsonWriter w;
-  w.BeginObject();
-  w.KV("schema", "hlrc-bench");
-  w.KV("version", static_cast<int64_t>(1));
-  w.KV("bench", bench_name_);
-  w.Key("rows");
-  w.BeginArray();
-  for (const std::vector<Field>& row : rows_) {
-    w.BeginObject();
-    for (const Field& f : row) {
-      switch (f.kind) {
-        case Field::Kind::kString:
-          w.KV(f.key, f.s);
-          break;
-        case Field::Kind::kInt:
-          w.KV(f.key, f.i);
-          break;
-        case Field::Kind::kDouble:
-          w.KV(f.key, f.d);
-          break;
-      }
-    }
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
-}
-
-void BenchJson::WriteFile(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  HLRC_CHECK_MSG(f != nullptr, "cannot open %s for writing", path.c_str());
-  const size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  HLRC_CHECK_MSG(std::fclose(f) == 0 && n == json.size(), "short write to %s", path.c_str());
+void WriteBenchJson(JsonWriter& json, const std::string& path) {
+  json.EndArray();
+  json.EndObject();
+  std::string error;
+  HLRC_CHECK_MSG(json.WriteFile(path, &error), "%s", error.c_str());
   std::printf("results written to %s\n", path.c_str());
 }
 

@@ -2,14 +2,15 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/apps/app.h"
 #include "src/common/table.h"
+#include "src/metrics/json_writer.h"
 #include "src/sim/sweep.h"  // ParallelMap/ParallelFor for --jobs fan-out.
 #include "src/svm/system.h"
+#include "src/tracing/critpath.h"
 
 namespace hlrc {
 namespace bench {
@@ -25,12 +26,12 @@ struct BenchOptions {
   bool verify = true;
   // Fault injection (docs/FAULTS.md): a nonzero drop rate makes BaseConfig
   // produce a lossy fabric with reliable delivery enabled, so any table can
-  // be regenerated under degradation (e.g. table5_traffic --fault-drop=0.01).
+  // be regenerated under degradation (e.g. paper_grid --fault-drop=0.01).
   double fault_drop = 0.0;
   uint64_t fault_seed = 42;
   // Reliable delivery without faults (--reliable): acks/retransmit machinery
   // on a clean fabric, the baseline the coalesced wire plane is measured
-  // against (table5_traffic --coalesce).
+  // against (paper_grid --reliable vs. --reliable --coalesce).
   bool reliable = false;
   // Coalesced wire plane (--coalesce, NetworkConfig::coalesce) + combining
   // barrier tree (--barrier-arity=N). Piggybacked acks engage when
@@ -46,7 +47,7 @@ struct BenchOptions {
   // machine-readable JSON file (schema "hlrc-bench" v1) for plotting and
   // regression tracking alongside the ASCII table.
   std::string json_out;
-  // Benchmarks that support it (fig3_time_breakdowns) add a causal-span
+  // Benchmarks that support it (paper_grid's Figure 3) add a causal-span
   // critical-path companion table (docs/OBSERVABILITY.md).
   bool causal = false;
 };
@@ -67,9 +68,12 @@ void CheckAppLimits(const App& app, const SimConfig& cfg);
 
 // Runs one application once; exits 2 if the app cannot run on `cfg`
 // (CheckAppLimits); aborts if verification fails (a benchmark on an
-// incorrect run would be meaningless).
+// incorrect run would be meaningless). With `crit`, the run also records
+// causal spans and fills *crit with their critical-path attribution
+// (docs/OBSERVABILITY.md); tracing is pure observation, so the report is
+// the same either way.
 AppRunResult RunVerified(const std::string& app_name, const BenchOptions& opts,
-                         const SimConfig& cfg);
+                         const SimConfig& cfg, CritPathSummary* crit = nullptr);
 
 // Virtual time of the uniprocessor computation (the paper's "sequential
 // execution time" baseline): the pure compute time of a 1-node run.
@@ -77,43 +81,15 @@ SimTime SequentialTime(const std::string& app_name, const BenchOptions& opts);
 
 std::string FmtSeconds(SimTime t);
 
-// Accumulates one flat result row per benchmark data point and writes them
-// as {"schema":"hlrc-bench","version":1,"bench":...,"rows":[{...},...]}.
-// Field order within a row is preserved. Usage:
-//   BenchJson json("table2_speedups");
-//   json.BeginRow();
-//   json.Add("app", app); json.Add("nodes", nodes); json.Add("speedup", s);
-//   json.EndRow();
-//   ... if (!opts.json_out.empty()) json.WriteFile(opts.json_out);
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench_name) : bench_name_(std::move(bench_name)) {}
-
-  void BeginRow();
-  void Add(const std::string& key, const std::string& v);
-  void Add(const std::string& key, const char* v);
-  void Add(const std::string& key, int64_t v);
-  void Add(const std::string& key, int v) { Add(key, static_cast<int64_t>(v)); }
-  void Add(const std::string& key, double v);
-  void EndRow();
-
-  std::string ToJson() const;
-  // Writes ToJson() to `path`; aborts with a message on I/O failure (a bench
-  // run whose results vanish is worse than one that stops).
-  void WriteFile(const std::string& path) const;
-
- private:
-  struct Field {
-    enum class Kind { kString, kInt, kDouble } kind;
-    std::string key;
-    std::string s;
-    int64_t i = 0;
-    double d = 0.0;
-  };
-  std::string bench_name_;
-  std::vector<std::vector<Field>> rows_;
-  bool in_row_ = false;
-};
+// Machine-readable results (--json), schema "hlrc-bench" v1:
+// {"schema":"hlrc-bench","version":1,"bench":NAME,"rows":[{...},...]}.
+// OpenBenchJson writes that object up to the open rows array; the caller
+// writes one flat object per data point straight through the JsonWriter.
+// WriteBenchJson closes the array and the object, writes `path` and says so
+// on stdout. It aborts on I/O failure: a bench run whose results vanish is
+// worse than one that stops.
+JsonWriter OpenBenchJson(const std::string& bench_name);
+void WriteBenchJson(JsonWriter& json, const std::string& path);
 
 }  // namespace bench
 }  // namespace hlrc

@@ -9,7 +9,7 @@
 //
 // Part 2 — workload characterization: the six synthetic sharing patterns are
 // replayed under each protocol family, the capture/replay counterpart of
-// table1_applications. Patterns are where protocols separate: single-writer
+// paper_grid's Table 1. Patterns are where protocols separate: single-writer
 // barely stresses anything, migratory is lock-ping-pong, false sharing is the
 // diff machinery's best case and a write-through protocol's worst.
 #include <cstdio>
@@ -94,7 +94,7 @@ RunSig Replay(const std::string& path, const SimConfig& cfg) {
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
   const int nodes = opts.node_counts.front();
-  BenchJson json("wkld_replay");
+  JsonWriter json = OpenBenchJson("wkld_replay");
 
   std::printf("=== Workload capture/replay (nodes=%d) ===\n\n", nodes);
 
@@ -109,15 +109,15 @@ int Main(int argc, char** argv) {
     fidelity.AddRow({app, FmtSeconds(direct.time), FmtSeconds(replayed.time),
                      direct == replayed ? "exact" : "DRIFT", Table::FmtBytes(bytes),
                      Table::Fmt(direct.msgs)});
-    json.BeginRow();
-    json.Add("section", "fidelity");
-    json.Add("app", app);
-    json.Add("nodes", nodes);
-    json.Add("time_direct", direct.time);
-    json.Add("time_replay", replayed.time);
-    json.Add("exact", direct == replayed ? 1 : 0);
-    json.Add("trace_bytes", bytes);
-    json.EndRow();
+    json.BeginObject();
+    json.KV("section", "fidelity");
+    json.KV("app", app);
+    json.KV("nodes", nodes);
+    json.KV("time_direct", direct.time);
+    json.KV("time_replay", replayed.time);
+    json.KV("exact", direct == replayed ? 1 : 0);
+    json.KV("trace_bytes", bytes);
+    json.EndObject();
     std::remove(path.c_str());
     std::fflush(stdout);
   }
@@ -151,15 +151,15 @@ int Main(int argc, char** argv) {
       }
       last = Sig(r.report);
       row.push_back(FmtSeconds(last.time));
-      json.BeginRow();
-      json.Add("section", "synthetic");
-      json.Add("pattern", name);
-      json.Add("protocol", ProtocolName(kind));
-      json.Add("nodes", nodes);
-      json.Add("time", last.time);
-      json.Add("msgs", last.msgs);
-      json.Add("update_bytes", last.update_bytes);
-      json.EndRow();
+      json.BeginObject();
+      json.KV("section", "synthetic");
+      json.KV("pattern", name);
+      json.KV("protocol", ProtocolName(kind));
+      json.KV("nodes", nodes);
+      json.KV("time", last.time);
+      json.KV("msgs", last.msgs);
+      json.KV("update_bytes", last.update_bytes);
+      json.EndObject();
       std::fflush(stdout);
     }
     row.push_back(Table::Fmt(last.msgs));
@@ -168,8 +168,7 @@ int Main(int argc, char** argv) {
   patterns.Print();
 
   if (!opts.json_out.empty()) {
-    json.WriteFile(opts.json_out);
-    std::printf("\nJSON results written to %s\n", opts.json_out.c_str());
+    WriteBenchJson(json, opts.json_out);
   }
   return 0;
 }
