@@ -10,7 +10,7 @@ void Histogram::Merge(const Histogram& o) {
     return;
   }
   count_ += o.count_;
-  sum_ += o.sum_;
+  sum_ = SaturatingAdd(sum_, o.sum_);
   min_ = std::min(min_, o.min_);
   max_ = std::max(max_, o.max_);
   for (int b = 0; b < kBuckets; ++b) {

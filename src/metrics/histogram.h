@@ -6,9 +6,10 @@
 // bucket b holds [2^(b-1), 2^b - 1]), which keeps the memory footprint fixed
 // (64 buckets cover the full int64 range) while preserving relative error
 // under a factor of two at every scale — a p99.9 of 12 ms is distinguishable
-// from a p50 of 60 us without storing a single sample. Exact min/max/sum are
-// kept alongside the buckets so averages and tails are not quantized, and
-// Merge() makes per-node recordings aggregatable without precision loss.
+// from a p50 of 60 us without storing a single sample. Exact min/max and the
+// sum are kept alongside the buckets so averages and tails are not
+// quantized; the sum is exact until it saturates at INT64_MAX. Merge() makes
+// per-node recordings aggregatable without precision loss.
 #ifndef SRC_METRICS_HISTOGRAM_H_
 #define SRC_METRICS_HISTOGRAM_H_
 
@@ -30,7 +31,7 @@ class Histogram {
       v = 0;
     }
     ++count_;
-    sum_ += v;
+    sum_ = SaturatingAdd(sum_, v);
     if (v < min_) {
       min_ = v;
     }
@@ -41,7 +42,8 @@ class Histogram {
   }
 
   // Merging two disjoint recordings yields exactly the histogram of the
-  // combined recording (bucket counts, count, sum, min, max all exact).
+  // combined recording (bucket counts, count, sum, min, max all exact; the
+  // sum saturates at INT64_MAX as in Record).
   void Merge(const Histogram& o);
 
   int64_t Count() const { return count_; }
@@ -67,6 +69,12 @@ class Histogram {
   static int64_t BucketHigh(int b);
 
  private:
+  // Both operands are non-negative, so only INT64_MAX can be crossed.
+  static int64_t SaturatingAdd(int64_t a, int64_t b) {
+    int64_t sum;
+    return __builtin_add_overflow(a, b, &sum) ? std::numeric_limits<int64_t>::max() : sum;
+  }
+
   int64_t count_ = 0;
   int64_t sum_ = 0;
   int64_t min_ = std::numeric_limits<int64_t>::max();

@@ -60,6 +60,8 @@ TEST(Histogram, RecordsEdgeValues) {
   h.Record(1);
   h.Record(std::numeric_limits<int64_t>::max());
   EXPECT_EQ(h.Count(), 3);
+  // 1 + INT64_MAX does not fit: the sum saturates instead of overflowing.
+  EXPECT_EQ(h.Sum(), std::numeric_limits<int64_t>::max());
   EXPECT_EQ(h.Min(), 0);
   EXPECT_EQ(h.Max(), std::numeric_limits<int64_t>::max());
   EXPECT_EQ(h.buckets()[0], 1);
@@ -126,6 +128,28 @@ TEST(Histogram, MergeWithEmptyIsIdentity) {
   empty.Merge(h);
   EXPECT_EQ(empty.Count(), 1);
   EXPECT_EQ(empty.Max(), 7);
+}
+
+TEST(Histogram, MergeSaturatesTheSum) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  Histogram big, small;
+  big.Record(max - 1);
+  small.Record(2);
+  small.Record(3);
+  big.Merge(small);
+  EXPECT_EQ(big.Count(), 3);
+  EXPECT_EQ(big.Sum(), max);
+  EXPECT_EQ(big.Min(), 2);
+  EXPECT_EQ(big.Max(), max - 1);
+  // Merging into the saturated sum keeps it at the bound.
+  big.Merge(small);
+  EXPECT_EQ(big.Count(), 5);
+  EXPECT_EQ(big.Sum(), max);
+  // Below the bound the merged sum stays exact.
+  Histogram exact;
+  exact.Record(max - 6);
+  exact.Merge(small);
+  EXPECT_EQ(exact.Sum(), max - 1);
 }
 
 // ---------------------------------------------------------------------------
