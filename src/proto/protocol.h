@@ -65,7 +65,7 @@ struct ProtoStats {
 
   // Interval-metadata component of the high-water mark (bytes of interval
   // records / write notices held in the interval log), tracked separately so
-  // table6_memory can attribute metadata overhead. Not part of the run
+  // paper_grid's Table 6 can attribute metadata overhead. Not part of the run
   // summary or golden output.
   int64_t interval_meta_highwater = 0;
 
