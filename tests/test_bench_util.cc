@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "src/common/cli.h"
+#include "src/metrics/json.h"
 
 namespace hlrc {
 namespace bench {
@@ -84,6 +88,41 @@ TEST(BenchUtil, RunVerifiedReturnsReport) {
   EXPECT_TRUE(r.verified);
   EXPECT_GT(r.report.total_time, 0);
   EXPECT_EQ(r.report.nodes.size(), 4u);
+}
+
+// --json files: rows written straight through the JsonWriter, inside the
+// "hlrc-bench" v1 envelope.
+TEST(BenchUtil, BenchJsonWrapsRowsInTheEnvelope) {
+  JsonWriter json = OpenBenchJson("paper_grid");
+  json.BeginObject();
+  json.KV("app", "sor");
+  json.KV("nodes", 8);
+  json.KV("speedup", 2.5);
+  json.EndObject();
+  const std::string path = ::testing::TempDir() + "bench_json_envelope.json";
+  WriteBenchJson(json, path);
+  std::ifstream in(path);
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  std::remove(path.c_str());
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(text, &doc, &error)) << error;
+  EXPECT_EQ(doc.GetString("schema"), "hlrc-bench");
+  EXPECT_EQ(doc.GetInt("version"), 1);
+  EXPECT_EQ(doc.GetString("bench"), "paper_grid");
+  const JsonValue* rows = doc.Find("rows");
+  ASSERT_TRUE(rows != nullptr && rows->IsArray());
+  ASSERT_EQ(rows->arr.size(), 1u);
+  EXPECT_EQ(rows->arr[0].GetString("app"), "sor");
+  EXPECT_EQ(rows->arr[0].GetInt("nodes"), 8);
+  EXPECT_EQ(rows->arr[0].GetDouble("speedup"), 2.5);
+}
+
+// A bench run whose results cannot be written stops instead of losing them.
+TEST(BenchUtilDeathTest, BenchJsonAbortsWhenTheFileCannotBeWritten) {
+  JsonWriter json = OpenBenchJson("paper_grid");
+  EXPECT_DEATH(WriteBenchJson(json, ::testing::TempDir() + "no-such-dir/out.json"),
+               "cannot open");
 }
 
 // The shared value parsers behind every command line (src/common/cli.h):
