@@ -1,15 +1,74 @@
 #include "src/metrics/json_writer.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace hlrc {
 
-void JsonWriter::BeforeValue() {
-  if (have_key_) {
-    have_key_ = false;
-    return;  // Comma was emitted before the key.
+namespace {
+
+// Appends `s` with JSON's escapes; runs that need none are copied whole.
+void AppendEscaped(std::string& out, std::string_view s) {
+  size_t run = 0;  // Start of the run not yet copied.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      default:
+        out += "\\u00";
+        out += "0123456789abcdef"[c >> 4];
+        out += "0123456789abcdef"[c & 0xf];
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+// The longest number either path prints is "-1.2345678901234567e-308", 24
+// characters.
+constexpr size_t kNumberChars = 32;
+
+void AppendInt(std::string& out, int64_t v) {
+  char buf[kNumberChars];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
+
+JsonWriter::JsonWriter(std::FILE* sink) : sink_(sink) {
+  // The buffer passes kFlushBytes by at most one element before it drains.
+  out_.reserve(2 * kFlushBytes);
+}
+
+// Before each array element or object key: drains a full buffer to the sink,
+// then emits the comma that separates the element from the previous one.
+void JsonWriter::BeforeElement() {
+  if (sink_ != nullptr && out_.size() >= kFlushBytes) {
+    Drain();
   }
   if (!first_.empty()) {
     if (first_.back()) {
@@ -18,6 +77,32 @@ void JsonWriter::BeforeValue() {
       out_ += ',';
     }
   }
+}
+
+void JsonWriter::BeforeValue() {
+  if (have_key_) {
+    have_key_ = false;
+    return;  // Comma was emitted before the key.
+  }
+  BeforeElement();
+}
+
+void JsonWriter::Drain() {
+  if (!sink_failed_ && std::fwrite(out_.data(), 1, out_.size(), sink_) != out_.size()) {
+    sink_failed_ = true;
+  }
+  out_.clear();
+}
+
+bool JsonWriter::Flush() {
+  if (sink_ == nullptr) {
+    return true;
+  }
+  Drain();
+  if (std::fflush(sink_) != 0) {
+    sink_failed_ = true;
+  }
+  return !sink_failed_;
 }
 
 void JsonWriter::BeginObject() {
@@ -42,43 +127,44 @@ void JsonWriter::EndArray() {
   first_.pop_back();
 }
 
-void JsonWriter::Key(const std::string& k) {
-  if (!first_.empty()) {
-    if (first_.back()) {
-      first_.back() = false;
-    } else {
-      out_ += ',';
-    }
-  }
+void JsonWriter::Key(std::string_view k) {
+  BeforeElement();
   out_ += '"';
-  out_ += Escape(k);
+  AppendEscaped(out_, k);
   out_ += "\":";
   have_key_ = true;
 }
 
-void JsonWriter::String(const std::string& v) {
+void JsonWriter::String(std::string_view v) {
   BeforeValue();
   out_ += '"';
-  out_ += Escape(v);
+  AppendEscaped(out_, v);
   out_ += '"';
 }
 
 void JsonWriter::Int(int64_t v) {
   BeforeValue();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out_ += buf;
+  AppendInt(out_, v);
 }
 
 void JsonWriter::Double(double v) {
   BeforeValue();
   if (!std::isfinite(v)) {
-    out_ += "null";  // JSON has no NaN/Inf.
+    out_ += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out_ += buf;
+  // "%.17g" prints an integer of magnitude below 2^53 as its plain digits,
+  // as the integer path does; -0.0 keeps its sign through to_chars.
+  if (std::fabs(v) < 9007199254740992.0) {
+    const int64_t i = static_cast<int64_t>(v);
+    if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v))) {
+      AppendInt(out_, i);
+      return;
+    }
+  }
+  // to_chars with a precision prints what printf does with that precision.
+  char buf[kNumberChars];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17).ptr);
 }
 
 void JsonWriter::Bool(bool v) {
@@ -110,42 +196,10 @@ bool JsonWriter::WriteFile(const std::string& path, std::string* err) const {
   return true;
 }
 
-std::string JsonWriter::Escape(const std::string& s) {
+std::string JsonWriter::Escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  AppendEscaped(out, s);
   return out;
 }
 

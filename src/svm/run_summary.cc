@@ -218,15 +218,14 @@ void WriteHotPages(JsonWriter& w, const PageHeatProfiler& heat) {
   w.EndArray();
 }
 
-}  // namespace
-
-std::string RunSummaryJson(const System& sys, const RunSummaryMeta& meta) {
+// The one body behind both entry points: the document goes to whatever sink
+// `w` has.
+void WriteRunSummary(JsonWriter& w, const System& sys, const RunSummaryMeta& meta) {
   const Metrics* metrics = sys.metrics();
   HLRC_CHECK_MSG(metrics != nullptr,
-                 "RunSummaryJson requires System::EnableMetrics before the run");
+                 "the run summary requires System::EnableMetrics before the run");
   const RunReport& report = sys.report();
 
-  JsonWriter w;
   w.BeginObject();
   w.KV("schema", kRunSummarySchemaName);
   w.KV("version", kRunSummarySchemaVersion);
@@ -265,12 +264,18 @@ std::string RunSummaryJson(const System& sys, const RunSummaryMeta& meta) {
     WriteSpansJson(&w, *sys.spans());
   }
   w.EndObject();
+}
+
+}  // namespace
+
+std::string RunSummaryJson(const System& sys, const RunSummaryMeta& meta) {
+  JsonWriter w;
+  WriteRunSummary(w, sys, meta);
   return w.str();
 }
 
 bool WriteRunSummaryJson(const std::string& path, const System& sys,
                          const RunSummaryMeta& meta, std::string* err) {
-  const std::string json = RunSummaryJson(sys, meta);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     if (err != nullptr) {
@@ -278,9 +283,10 @@ bool WriteRunSummaryJson(const std::string& path, const System& sys,
     }
     return false;
   }
-  const size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  const bool nl = std::fputc('\n', f) != EOF;
-  if (std::fclose(f) != 0 || n != json.size() || !nl) {
+  JsonWriter w(f);
+  WriteRunSummary(w, sys, meta);
+  const bool written = w.Flush() && std::fputc('\n', f) != EOF;
+  if (std::fclose(f) != 0 || !written) {
     if (err != nullptr) {
       *err = "short write to " + path;
     }

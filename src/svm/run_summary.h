@@ -42,8 +42,9 @@ struct RunSummaryMeta {
 // from the metrics bundle).
 std::string RunSummaryJson(const System& sys, const RunSummaryMeta& meta);
 
-// RunSummaryJson + write to `path` (newline-terminated). Returns false and
-// fills `*err` on I/O failure.
+// Streams the same document to `path` (newline-terminated) without holding
+// it in memory. Returns false and fills `*err` if the file cannot be opened
+// or a write to it comes up short.
 bool WriteRunSummaryJson(const std::string& path, const System& sys,
                          const RunSummaryMeta& meta, std::string* err);
 
