@@ -1,10 +1,6 @@
 #include "src/metrics/sampler.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "src/common/check.h"
-#include "src/metrics/json_writer.h"
 
 namespace hlrc {
 
@@ -53,32 +49,6 @@ void Sampler::Tick() {
   if (!engine_->Idle()) {
     engine_->Schedule(interval_, [this] { Tick(); });
   }
-}
-
-std::string ChromeCounterEvents(const Sampler& sampler) {
-  std::string out;
-  char buf[256];
-  bool first = true;
-  const auto& series = sampler.series();
-  for (size_t si = 0; si < series.size(); ++si) {
-    const std::string name = JsonWriter::Escape(series[si].name);
-    const int pid = series[si].node < 0 ? 0 : series[si].node;
-    for (const Sampler::Sample& s : sampler.samples()) {
-      if (!first) {
-        out += ",\n";
-      }
-      first = false;
-      // Chrome trace timestamps are microseconds; counter tracks group by
-      // (pid, name), so per-node series get one track per node.
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,"
-                    "\"args\":{\"value\":%.17g}}",
-                    name.c_str(), static_cast<double>(s.time) / 1000.0, pid,
-                    s.values[si]);
-      out += buf;
-    }
-  }
-  return out;
 }
 
 }  // namespace hlrc

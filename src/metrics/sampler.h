@@ -64,11 +64,6 @@ class Sampler {
   std::vector<Sample> samples_;
 };
 
-// Renders the sampler's series as Chrome trace-event counter events
-// ("ph":"C"), one Perfetto counter track per (series, node), comma-joined
-// with no trailing comma — ready to splice into a trace dump's event array.
-std::string ChromeCounterEvents(const Sampler& sampler);
-
 }  // namespace hlrc
 
 #endif  // SRC_METRICS_SAMPLER_H_

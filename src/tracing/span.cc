@@ -120,7 +120,7 @@ bool WriteChromeTrace(const std::string& path, const SpanTracer& tracer,
     *err = "cannot open " + path + " for writing";
     return false;
   }
-  // Events are staged in `out` and written in chunks, so a run's full span
+  // Events are staged in `out` and written in chunks, so a run's full event
   // set never sits in memory as one string.
   std::string out = "[\n";
   bool ok = true;
@@ -163,12 +163,18 @@ bool WriteChromeTrace(const std::string& path, const SpanTracer& tracer,
           static_cast<long long>(flow_id), ToMicros(s.t0), s.node);
     }
   }
-  const std::string counters = ChromeCounterEvents(sampler);
-  if (!counters.empty()) {
-    if (!first) {
-      out += ",\n";
+  // The sampler's counter tracks, one per (series, node): Chrome groups
+  // counters by (pid, name), so a per-node series gets its node as pid.
+  const std::vector<Sampler::SeriesInfo>& series = sampler.series();
+  for (size_t si = 0; si < series.size(); ++si) {
+    const std::string name = JsonWriter::Escape(series[si].name);
+    const int pid = series[si].node < 0 ? 0 : series[si].node;
+    for (const Sampler::Sample& s : sampler.samples()) {
+      append(
+          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,"
+          "\"args\":{\"value\":%.17g}}",
+          name.c_str(), ToMicros(s.time), pid, s.values[si]);
     }
-    out += counters;
   }
   out += "\n]\n";
   flush();

@@ -114,8 +114,9 @@ inline constexpr int kSpansSchemaVersion = 1;
 // Writes the execution trace as a Chrome trace-event JSON array
 // (chrome://tracing, Perfetto): one "X" complete slice per span (pid 0,
 // tid = node), an "s"/"f" flow pair per causal link so chains render as
-// arrows, and the sampler's counter tracks (ChromeCounterEvents). Returns
-// false (with a message in *err) when the file cannot be written.
+// arrows, and a "C" counter event per sampler series and sample. Events are
+// streamed to the file, never held in memory whole. Returns false (with a
+// message in *err) when the file cannot be written.
 bool WriteChromeTrace(const std::string& path, const SpanTracer& tracer,
                       const Sampler& sampler, std::string* err);
 
