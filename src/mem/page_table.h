@@ -25,15 +25,30 @@ enum class PageProt : uint8_t {
   kReadWrite = 2,  // No faults.
 };
 
-struct PageState {
-  PageProt prot = PageProt::kRead;
+class PageState {
+ public:
+  PageProt prot() const { return prot_; }
+
+  // Whether the protection lets an access of this kind through without a
+  // fault.
+  bool Grants(bool write) const {
+    return write ? prot_ == PageProt::kReadWrite : prot_ != PageProt::kNone;
+  }
+
+  // Twin: clean snapshot taken at the first write of the current interval.
+  std::unique_ptr<std::byte[]> twin;
   // Whether the local frame holds a (possibly stale) copy of the page. LRC
   // keeps stale copies across invalidation so diffs can be applied in place;
   // a page with no copy requires a full-page fetch.
   bool has_copy = true;
-  // Twin: clean snapshot taken at the first write of the current interval.
-  std::unique_ptr<std::byte[]> twin;
+
+ private:
+  friend class PageTable;  // PageTable::SetProt is the only writer of prot_.
+  // Next to has_copy, so that a state stays 16 bytes: every node holds one
+  // per page of the shared space.
+  PageProt prot_ = PageProt::kRead;
 };
+static_assert(sizeof(PageState) <= 16, "one PageState per page per node");
 
 class PageTable {
  public:
@@ -74,6 +89,21 @@ class PageTable {
     return states_[static_cast<size_t>(p)];
   }
 
+  // The only writer of a page's protection, so that prot_losses() sees
+  // every change.
+  void SetProt(PageId p, PageProt prot) {
+    PageState& st = State(p);
+    if (prot < st.prot_) {
+      ++prot_losses_;
+    }
+    st.prot_ = prot;
+  }
+
+  // Protection changes so far that took access away from a page. A grant
+  // (ProtocolNode::EnsureAccessSpans) compares it across a fault: unchanged,
+  // every page the grant already passed still grants its access.
+  uint64_t prot_losses() const { return prot_losses_; }
+
   // Snapshots the current page contents as the twin. The caller accounts the
   // cost; this just does the copy and the memory bookkeeping. Twin buffers
   // are recycled through a per-node free list (docs/PERFORMANCE.md): twin
@@ -99,6 +129,7 @@ class PageTable {
   int num_pages_;
   std::byte* base_;  // mmap'ed; owned.
   std::vector<PageState> states_;
+  uint64_t prot_losses_ = 0;
   int64_t twin_count_ = 0;
   std::vector<std::unique_ptr<std::byte[]>> twin_pool_;
   int64_t twin_pool_hits_ = 0;

@@ -69,7 +69,7 @@ bool ErcProtocol::OnWriteNotice(const IntervalPtr& /*rec*/, PageId /*page*/) {
 
 Task<void> ErcProtocol::ResolveFault(PageId page, bool write) {
   // Pages are always valid; only write-protection upgrades fault.
-  HLRC_CHECK(pages().State(page).prot != PageProt::kNone);
+  HLRC_CHECK(pages().State(page).prot() != PageProt::kNone);
   if (!write) {
     co_return;
   }
@@ -78,7 +78,7 @@ Task<void> ErcProtocol::ResolveFault(PageId page, bool write) {
       co_await ChargeCpu(costs().TwinCost(pages().page_size()), BusyCat::kTwin);
       pages().MakeTwin(page);
     }
-    pages().State(page).prot = PageProt::kReadWrite;
+    pages().SetProt(page, PageProt::kReadWrite);
     co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
     // Incoming updates never invalidate, so the grant is stable.
     MarkDirty(page);

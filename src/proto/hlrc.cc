@@ -173,7 +173,6 @@ void HlrcProtocol::SendPageRequest(NodeId dst, PageId page, NodeId requester,
 
 bool HlrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
   const Required& req = UpdateRequired(page, rec->writer, rec->id);
-  PageState& st = pages().State(page);
   if (IsHomeHere(page)) {
     // The master copy lives here. If the announced diffs have already been
     // applied there is nothing to do — this is why home accesses take no
@@ -182,8 +181,8 @@ bool HlrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
       return false;
     }
   }
-  const bool was_mapped = st.prot != PageProt::kNone;
-  st.prot = PageProt::kNone;
+  const bool was_mapped = pages().State(page).prot() != PageProt::kNone;
+  pages().SetProt(page, PageProt::kNone);
   return was_mapped;
 }
 
@@ -199,7 +198,7 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
   // the software equivalent of the store re-faulting on real hardware.
   while (true) {
   const NodeId home = BelievedHomeOf(page);
-  if (pages().State(page).prot == PageProt::kNone) {
+  if (pages().State(page).prot() == PageProt::kNone) {
     if (home == self()) {
       // Wait for in-flight diffs to land on the master copy; purely local.
       // Loop: new write notices may extend the requirement while waiting.
@@ -244,7 +243,7 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
         }
       }
     }
-    pages().State(page).prot = PageProt::kRead;
+    pages().SetProt(page, PageProt::kRead);
     co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
     continue;  // Re-check: the charge may have crossed an invalidation.
   }
@@ -253,14 +252,14 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
   }
   if (BelievedHomeOf(page) != self() && !pages().HasTwin(page)) {
     co_await ChargeCpu(WriteCaptureCost(), BusyCat::kTwin);
-    if (pages().State(page).prot == PageProt::kNone) {
+    if (pages().State(page).prot() == PageProt::kNone) {
       continue;  // Invalidated during the twin charge: the data is stale.
     }
     pages().MakeTwin(page);
   }
-  pages().State(page).prot = PageProt::kReadWrite;
+  pages().SetProt(page, PageProt::kReadWrite);
   co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
-  if (pages().State(page).prot == PageProt::kNone) {
+  if (pages().State(page).prot() == PageProt::kNone) {
     continue;  // Invalidated during the protect charge.
   }
   MarkDirty(page);
@@ -361,8 +360,8 @@ void HlrcProtocol::HandleHomeTransfer(PageId page, const std::vector<std::byte>&
   slots = applied;
   SetApplied(page, self(), vt().Get(self()));
   SetHomeOverride(page, self());
-  if (pages().State(page).prot == PageProt::kNone) {
-    pages().State(page).prot = PageProt::kRead;
+  if (pages().State(page).prot() == PageProt::kNone) {
+    pages().SetProt(page, PageProt::kRead);
   }
   // A fetch of this very page may be in flight (we asked the old home just
   // before becoming the home): the transferred master satisfies it. The

@@ -77,9 +77,9 @@ void LrcProtocol::MarkDiffReady(PageId page, uint32_t id) {
 // Write notices.
 
 bool LrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
-  PageState& st = pages().State(page);
+  const bool was_mapped = pages().State(page).prot() != PageProt::kNone;
   if (env().options->mutation == TestMutation::kLrcSkipInvalidate && !mutation_fired_ &&
-      st.prot != PageProt::kNone) {
+      was_mapped) {
     // Seeded bug (TestMutation): drop the first invalidating write notice
     // entirely — the node keeps reading its stale mapped copy and never
     // fetches this interval's diff. The consistency oracle must catch it.
@@ -88,8 +88,7 @@ bool LrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
   }
   pending_[page].push_back(PendingWn{rec->writer, rec->id, rec});
   ++pending_count_;
-  const bool was_mapped = st.prot != PageProt::kNone;
-  st.prot = PageProt::kNone;
+  pages().SetProt(page, PageProt::kNone);
   return was_mapped;
 }
 
@@ -138,9 +137,8 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
       co_await FetchDiffs(page);
       continue;
     }
-    PageState& st = pages().State(page);
-    if (st.prot == PageProt::kNone) {
-      st.prot = PageProt::kRead;
+    if (pages().State(page).prot() == PageProt::kNone) {
+      pages().SetProt(page, PageProt::kRead);
       co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
       continue;  // Re-check: the charge may have crossed an invalidation.
     }
@@ -149,14 +147,14 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
     }
     if (!pages().HasTwin(page)) {
       co_await ChargeCpu(costs().TwinCost(pages().page_size()), BusyCat::kTwin);
-      if (pages().State(page).prot == PageProt::kNone || HasPending(page)) {
+      if (pages().State(page).prot() == PageProt::kNone || HasPending(page)) {
         continue;  // Invalidated during the twin charge: the data is stale.
       }
       pages().MakeTwin(page);
     }
-    pages().State(page).prot = PageProt::kReadWrite;
+    pages().SetProt(page, PageProt::kReadWrite);
     co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
-    if (pages().State(page).prot == PageProt::kNone) {
+    if (pages().State(page).prot() == PageProt::kNone) {
       continue;  // Invalidated during the protect charge.
     }
     MarkDirty(page);
@@ -596,10 +594,11 @@ void LrcProtocol::OnBarrierReleased() {
     owner_hint_[page] = validator;
     if (validator != self() && HasPending(page)) {
       // Stale copy whose diffs are about to disappear: drop it; the next
-      // access fetches the whole page from the validator.
-      PageState& st = pages().State(page);
-      st.has_copy = false;
-      st.prot = PageProt::kNone;
+      // access fetches the whole page from the validator. This runs at a
+      // barrier, when no grant is open, so no scan depends on this loss; it
+      // is counted anyway, like every other.
+      pages().State(page).has_copy = false;
+      pages().SetProt(page, PageProt::kNone);
       std::vector<PendingWn>& pending = pending_[page];
       pending_count_ -= static_cast<int64_t>(pending.size());
       pending.clear();

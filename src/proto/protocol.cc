@@ -224,10 +224,9 @@ ProtocolNode::CloseActions ProtocolNode::CloseIntervalPrepared() {
   open_dirty_.clear();
 
   for (PageId p : rec.pages) {
-    PageState& st = env_.pages->State(p);
     dirty_flag_[static_cast<size_t>(p)] = false;
-    if (st.prot == PageProt::kReadWrite) {
-      st.prot = PageProt::kRead;
+    if (env_.pages->State(p).prot() == PageProt::kReadWrite) {
+      env_.pages->SetProt(p, PageProt::kRead);
       actions.protect_cost += costs().page_protect;
       Cover(CoverageObserver::Domain::kPageTransition,
             (static_cast<uint64_t>(PageProt::kReadWrite) << 8) |
@@ -288,14 +287,14 @@ SimTime ProtocolNode::ApplyIntervals(const IntervalBatch& recs) {
     stats_.write_notices_received += static_cast<int64_t>(rec.pages.size());
     cost += costs().wn_apply * static_cast<SimTime>(rec.pages.size());
     for (PageId p : rec.pages) {
-      const PageProt before = env_.pages->State(p).prot;
+      const PageProt before = env_.pages->State(p).prot();
       const bool did_invalidate = OnWriteNotice(handle, p);
       if (did_invalidate) {
         ++invalidated;
       }
       Cover(CoverageObserver::Domain::kPageTransition,
             (static_cast<uint64_t>(before) << 8) |
-                static_cast<uint64_t>(env_.pages->State(p).prot),
+                static_cast<uint64_t>(env_.pages->State(p).prot()),
             did_invalidate ? 1 : 0);  // Cause 1: invalidated, 0: kept.
     }
     known_interval_bytes_ += IntervalBytes(rec);
@@ -315,37 +314,40 @@ IntervalBatch ProtocolNode::PackIntervalsFor(const VectorClock& vt) const {
 // Page access.
 
 Task<void> ProtocolNode::EnsureAccessSpans(std::vector<PageSpan> spans) {
-  // Keep scanning until one full pass needs no fault. Rescanning matters:
-  // while a fault on a later page is being resolved (the coroutine is
-  // suspended), a remote lock request can close the current interval, which
-  // re-write-protects pages this grant already upgraded. The final fault-free
-  // pass runs synchronously with the caller's resumption, so the grant is
-  // stable until the application's next suspension point.
+  PageTable& pages = *env_.pages;
+  for (const PageSpan& span : spans) {
+    HLRC_CHECK(span.first >= 0 && span.last < pages.num_pages() && span.first <= span.last);
+  }
+  // Scan position: span `s`, page `p`. Every position before it granted its
+  // access when the scan passed it. While a fault suspends the scan, a remote
+  // lock request can close the interval (write-protecting pages the grant
+  // upgraded) and a write notice can invalidate a page it passed. The page
+  // table counts each such loss; if none happened, a full rescan would stop
+  // where the scan resumes.
+  size_t s = 0;
+  PageId p = spans.empty() ? 0 : spans[0].first;
+  bool faulted = false;
   while (true) {
-    PageId fault_page = kInvalidPage;
-    bool fault_write = false;
-    bool fault_invalid = false;
-    for (const PageSpan& span : spans) {
-      HLRC_CHECK(span.first >= 0 && span.last < env_.pages->num_pages() &&
-                 span.first <= span.last);
-      for (PageId p = span.first; p <= span.last; ++p) {
-        const PageState& st = env_.pages->State(p);
-        const bool invalid = st.prot == PageProt::kNone;
-        const bool needs_write_upgrade = span.write && st.prot != PageProt::kReadWrite;
-        if (invalid || needs_write_upgrade) {
-          fault_page = p;
-          fault_write = span.write;
-          fault_invalid = invalid;
-          break;
-        }
+    while (s < spans.size()) {
+      const PageSpan& span = spans[s];
+      while (p <= span.last && pages.State(p).Grants(span.write)) {
+        ++p;
       }
-      if (fault_page != kInvalidPage) {
-        break;
+      if (p <= span.last) {
+        break;  // Page p faults.
+      }
+      if (++s < spans.size()) {
+        p = spans[s].first;
       }
     }
-    if (fault_page == kInvalidPage) {
-      co_return;
+    if (s == spans.size()) {
+      break;
     }
+    const PageId fault_page = p;
+    const bool fault_write = spans[s].write;
+    const bool fault_invalid = pages.State(p).prot() == PageProt::kNone;
+    const uint64_t losses = pages.prot_losses();
+    faulted = true;
 
     WaitScope ws(this, WaitCat::kData, SpanKind::kFault, fault_page, fault_write ? 1 : 0);
     cur_fault_span_ = ws.span;
@@ -360,18 +362,33 @@ Task<void> ProtocolNode::EnsureAccessSpans(std::vector<PageSpan> spans) {
       metrics_->heat->OnFault(fault_page, fault_write);
       ++*metrics_->outstanding_fetches;
     }
-    const PageProt prot_before = env_.pages->State(fault_page).prot;
+    const PageProt prot_before = pages.State(fault_page).prot();
     co_await ResolveFault(fault_page, fault_write);
     if (metrics_ != nullptr) {
       --*metrics_->outstanding_fetches;
     }
     Cover(CoverageObserver::Domain::kPageTransition,
           (static_cast<uint64_t>(prot_before) << 8) |
-              static_cast<uint64_t>(env_.pages->State(fault_page).prot),
+              static_cast<uint64_t>(pages.State(fault_page).prot()),
           fault_write ? 4 : 3);  // Cause 3: read fault, 4: write fault.
-    HLRC_DCHECK(env_.pages->State(fault_page).prot != PageProt::kNone);
+    HLRC_DCHECK(pages.State(fault_page).prot() != PageProt::kNone);
     cur_fault_span_ = kNoSpan;
     ws.Finish();
+    if (pages.prot_losses() != losses) {
+      s = 0;
+      p = spans[0].first;
+    }
+  }
+  // After a fault the last scan began at the faulting page. Check the whole
+  // grant, synchronously with the caller's resumption, so that a protection
+  // loss that escaped the count aborts instead of handing the program a page
+  // it may not use.
+  if (faulted) {
+    for (const PageSpan& span : spans) {
+      for (PageId q = span.first; q <= span.last; ++q) {
+        HLRC_CHECK(pages.State(q).Grants(span.write));
+      }
+    }
   }
 }
 

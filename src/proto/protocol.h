@@ -148,13 +148,16 @@ class ProtocolNode {
     bool write;
   };
 
-  // Ensures every page in `spans` is accessible at the requested level, then
-  // returns from a scan pass that performed no fault. That final pass runs
-  // synchronously with the caller's resumption, so the grant holds until the
-  // application's next co_await: this mirrors hardware-MMU semantics, where a
-  // store after an asynchronous interval close (which write-protects pages)
-  // would re-fault. Callers must perform their stores before suspending
-  // again.
+  // Ensures every page in `spans` is accessible at the requested level. The
+  // scan walks the spans in order and resolves the first page that does not
+  // grant its access, then resumes at that page, or restarts at the first
+  // page if this node's page table counted a protection loss
+  // (PageTable::prot_losses) meanwhile. The grant returns synchronously with
+  // the caller's resumption, after a check of every page if it faulted, so
+  // it holds until the application's next co_await: this mirrors
+  // hardware-MMU semantics, where a store after an asynchronous interval
+  // close (which write-protects pages) would re-fault. Callers must perform
+  // their stores before suspending again.
   Task<void> EnsureAccessSpans(std::vector<PageSpan> spans);
 
   // Convenience single-range form.

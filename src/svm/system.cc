@@ -80,8 +80,7 @@ bool NodeContext::NeedsAccess(GlobalAddr addr, int64_t bytes, bool write) const 
   const PageId first = pt.PageOf(addr);
   const PageId last = pt.PageOf(addr + static_cast<GlobalAddr>(bytes) - 1);
   for (PageId p = first; p <= last; ++p) {
-    const PageProt prot = pt.State(p).prot;
-    if (prot == PageProt::kNone || (write && prot != PageProt::kReadWrite)) {
+    if (!pt.State(p).Grants(write)) {
       return true;
     }
   }

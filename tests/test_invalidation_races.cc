@@ -100,6 +100,50 @@ TEST_P(InvalidationRaceTest, WriteGrantSurvivesIntervalCloseDuringFault) {
   }
 }
 
+TEST_P(InvalidationRaceTest, PageInvalidatedBehindTheGrantScanFaultsAgain) {
+  // Node 0, the barrier manager, reads one valid page followed by 31 invalid
+  // ones whose home is node 2. While its faults are in flight, node 1 writes
+  // the valid page and enters the next barrier, and node 0 applies that
+  // enter's write notice at once: it invalidates a page that node 0's grant
+  // has already passed. The grant must fault that page again before the
+  // program resumes, even though the scan resumes after each fault rather
+  // than starting over.
+  constexpr int kNodes = 3;
+  constexpr int kPages = 32;
+  constexpr int64_t kPageSize = 1024;
+  constexpr int64_t kBytes = kPages * kPageSize;
+  SimConfig cfg = testing::SmallConfig(GetParam(), kNodes, 1 << 20, kPageSize);
+  System sys(cfg);
+  // Block placement homes the k-th third of an allocation at node k.
+  const GlobalAddr arr = sys.space().AllocPageAligned(kNodes * kBytes) + 2 * kBytes;
+  bool granted = false;
+
+  sys.Run([&](NodeContext& ctx) -> Task<void> {
+    const int me = ctx.id();
+    if (me == 2) {
+      // Node 0 learns of these writes at barrier 0: pages 1..31 go invalid.
+      co_await ctx.Write(arr + kPageSize, kBytes - kPageSize);
+      std::memset(ctx.Ptr<std::byte>(arr + kPageSize), 1, kBytes - kPageSize);
+    }
+    co_await ctx.Barrier(0);
+    if (me == 0) {
+      co_await ctx.Read(arr, kBytes);
+      granted = !ctx.NeedsAccess(arr, kBytes, false);
+    } else if (me == 1) {
+      co_await ctx.Write(arr, 8);
+      *ctx.Ptr<int64_t>(arr) = 1;
+    }
+    co_await ctx.Barrier(1);
+  });
+
+  EXPECT_TRUE(granted);
+  if (GetParam() != ProtocolKind::kErc) {
+    // 31 misses, plus the valid page's once the enter invalidated it: the
+    // race this test is about did happen.
+    EXPECT_EQ(sys.report().nodes[0].proto.read_misses, kPages);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllProtocols, InvalidationRaceTest,
                          ::testing::ValuesIn(testing::AllProtocols()),
                          [](const ::testing::TestParamInfo<ProtocolKind>& info) {

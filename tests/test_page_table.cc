@@ -22,13 +22,41 @@ TEST(PageTable, GeometryAndAddressing) {
 TEST(PageTable, StartsZeroFilledAndReadable) {
   PageTable pt(16 * 1024, 4096);
   for (PageId p = 0; p < pt.num_pages(); ++p) {
-    EXPECT_EQ(pt.State(p).prot, PageProt::kRead);
+    EXPECT_EQ(pt.State(p).prot(), PageProt::kRead);
     EXPECT_TRUE(pt.State(p).has_copy);
     const std::byte* data = pt.PageData(p);
     for (int i = 0; i < 4096; ++i) {
       EXPECT_EQ(data[i], std::byte{0});
     }
   }
+}
+
+TEST(PageTable, CountsEachProtectionLoss) {
+  PageTable pt(16 * 1024, 4096);
+  pt.SetProt(0, PageProt::kReadWrite);  // Raising access is not a loss.
+  pt.SetProt(1, PageProt::kRead);       // Neither is leaving it as it is.
+  EXPECT_EQ(pt.prot_losses(), 0u);
+  pt.SetProt(0, PageProt::kRead);
+  pt.SetProt(1, PageProt::kNone);
+  pt.SetProt(1, PageProt::kNone);
+  EXPECT_EQ(pt.prot_losses(), 2u);
+  pt.SetProt(0, PageProt::kReadWrite);
+  pt.SetProt(0, PageProt::kNone);
+  EXPECT_EQ(pt.prot_losses(), 3u);
+  EXPECT_EQ(pt.State(0).prot(), PageProt::kNone);
+}
+
+TEST(PageTable, GrantsFollowsProtection) {
+  PageTable pt(16 * 1024, 4096);
+  pt.SetProt(0, PageProt::kNone);
+  EXPECT_FALSE(pt.State(0).Grants(false));
+  EXPECT_FALSE(pt.State(0).Grants(true));
+  pt.SetProt(0, PageProt::kRead);
+  EXPECT_TRUE(pt.State(0).Grants(false));
+  EXPECT_FALSE(pt.State(0).Grants(true));
+  pt.SetProt(0, PageProt::kReadWrite);
+  EXPECT_TRUE(pt.State(0).Grants(false));
+  EXPECT_TRUE(pt.State(0).Grants(true));
 }
 
 TEST(PageTable, TwinSnapshotsAndTracksMemory) {
