@@ -20,6 +20,14 @@ struct SorConfig {
   uint64_t seed = 999;
 };
 
+// One red-black relaxation sweep over rows [first, last] of the rows x cols
+// grid `dst`, reading the other colour's grid `src`, which must not overlap
+// it: 4 flops per element, dst[i][j] = 0.25 * (up + down + left + right),
+// summed left to right, with a literal 0.0 for each neighbour past the grid's
+// edge. The summation order is fixed, so the nodes' bands and Verify's
+// sequential reference agree bit for bit.
+void SorSweepRows(double* dst, const double* src, int cols, int first, int last, int rows);
+
 class SorApp : public App {
  public:
   explicit SorApp(const SorConfig& cfg) : cfg_(cfg) {}
