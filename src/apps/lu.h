@@ -12,9 +12,18 @@ namespace hlrc {
 
 struct LuConfig {
   int n = 512;     // Matrix dimension.
-  int block = 32;  // Block size; n % block == 0.
+  int block = 32;  // Block size; n % block == 0 and block % 4 == 0.
   uint64_t seed = 12345;
 };
+
+// C -= A * B on row-major block x block matrices, block % 4 == 0. Each
+// element of C gets c -= a[i][k] * b[k][j] for k = 0, 1, ..., block - 1 in
+// that order, the multiply and the subtract each rounded, so C comes out bit
+// for bit as the textbook i-k-j loop leaves it; only the order in which
+// different elements are computed differs. C must overlap neither A nor B:
+// LU passes blocks (i, k), (k, j) and (i, j) with i, j > k. The node kernels
+// and Verify's sequential reference both call it, so they agree bitwise.
+void LuMatmulSub(const double* a, const double* b, double* c, int block);
 
 class LuApp : public App {
  public:

@@ -5,6 +5,10 @@
 // so that its interior loop has no branch. The textbook loop below, with four
 // boundary tests per element, is the reference: every element must add the
 // same operands in the same order, so the outputs compare with memcmp.
+//
+// LuMatmulSub keeps a 4 x 4 tile of C in packed accumulators across the whole
+// k loop. The i-k-j loop below is its reference: every element must see the
+// same rounded multiply, then the same rounded subtract, in the same k order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/apps/lu.h"
 #include "src/apps/sor.h"
 
 namespace hlrc {
@@ -30,6 +35,19 @@ void SweepRowsReference(double* dst, const double* src, int cols, int first, int
       const double left = j > 0 ? src[i * cols + j - 1] : 0.0;
       const double right = j < cols - 1 ? src[i * cols + j + 1] : 0.0;
       dst[i * cols + j] = 0.25 * (up + down + left + right);
+    }
+  }
+}
+
+// The i-k-j block update LuMatmulSub replaced, kept verbatim as the
+// reference.
+void MatmulSubReference(const double* a, const double* bm, double* c, int b) {
+  for (int i = 0; i < b; ++i) {
+    for (int k = 0; k < b; ++k) {
+      const double av = a[i * b + k];
+      for (int j = 0; j < b; ++j) {
+        c[i * b + j] -= av * bm[k * b + j];
+      }
     }
   }
 }
@@ -158,6 +176,69 @@ TEST(SorSweep, LargeGridMatchesPerElementLoop) {
     SorSweepRows(got.data(), src.data(), cols, first, last, rows);
     EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)), 0)
         << "band [" << first << ", " << last << "]";
+  }
+}
+
+// Runs both block updates at every block size that is a multiple of 4 up to
+// 40, over the same A, B and prior C, at 16-byte and at 8-byte alignment, and
+// compares C byte for byte; A and B must stay untouched.
+template <typename Gen>
+void CompareAllBlocks(uint64_t seed, Gen gen) {
+  std::mt19937_64 rng(seed);
+  int compared = 0;
+  for (int block = 4; block <= 40; block += 4) {
+    const size_t n = static_cast<size_t>(block) * static_cast<size_t>(block);
+    for (const size_t offset : {0, 1}) {
+      std::vector<double> a(n + offset);
+      std::vector<double> b(n + offset);
+      std::vector<double> prior(n + offset);
+      for (size_t e = 0; e < n + offset; ++e) {
+        a[e] = gen(rng);
+        b[e] = gen(rng);
+        prior[e] = gen(rng);
+      }
+      const std::vector<double> a_before = a;
+      const std::vector<double> b_before = b;
+      std::vector<double> want = prior;
+      std::vector<double> got = prior;
+      MatmulSubReference(a.data() + offset, b.data() + offset, want.data() + offset, block);
+      LuMatmulSub(a.data() + offset, b.data() + offset, got.data() + offset, block);
+      const size_t bytes = (n + offset) * sizeof(double);
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), bytes), 0)
+          << "block " << block << " offset " << offset;
+      ASSERT_EQ(std::memcmp(a.data(), a_before.data(), bytes), 0) << "block " << block;
+      ASSERT_EQ(std::memcmp(b.data(), b_before.data(), bytes), 0) << "block " << block;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 20);
+}
+
+TEST(LuMatmulSub, MatchesIkjLoopOnRandomFiniteValues) {
+  CompareAllBlocks(6, RandomValue);
+  CompareAllBlocks(7, RandomValue);
+}
+
+TEST(LuMatmulSub, MatchesIkjLoopOnSignedZeros) {
+  CompareAllBlocks(8, SignedZeroValue);
+  CompareAllBlocks(9, [](std::mt19937_64&) { return -0.0; });
+}
+
+TEST(LuMatmulSub, RoundsTheProductBeforeTheSubtract) {
+  // (1 + 2^-30)^2 = 1 + 2^-29 + 2^-60 rounds to 1 + 2^-29, so c - a * b is
+  // +0.0 exactly. A fused multiply-subtract would keep the 2^-60 and give
+  // -2^-60. Every other product has a +0.0 factor, so every other element
+  // stays +0.0.
+  const int block = 4;
+  std::vector<double> a(block * block, 0.0);
+  std::vector<double> b(block * block, 0.0);
+  std::vector<double> c(block * block, 0.0);
+  a[0] = b[0] = 1.0 + std::ldexp(1.0, -30);
+  c[0] = 1.0 + std::ldexp(1.0, -29);
+  LuMatmulSub(a.data(), b.data(), c.data(), block);
+  for (const double v : c) {
+    EXPECT_EQ(v, 0.0);
+    EXPECT_FALSE(std::signbit(v));
   }
 }
 

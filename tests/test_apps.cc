@@ -2,6 +2,9 @@
 // reference under every protocol and several node counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <tuple>
@@ -55,6 +58,51 @@ std::string CaseName(const ::testing::TestParamInfo<AppCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllApps, AppCorrectnessTest, ::testing::ValuesIn(AllCases()),
                          CaseName);
+
+// LU's check is exact, so a value one ulp off fails it; the message must then
+// show two different numbers, each of which reads back as the double compared.
+TEST(AppVerify, LuNamesBothValuesOfAOneUlpMismatch) {
+  auto app = MakeApp("lu", AppScale::kTiny);
+  SimConfig cfg;
+  cfg.nodes = 4;
+  cfg.page_size = 1024;
+  cfg.shared_bytes = 16ll << 20;
+  System sys(cfg);
+  GlobalAddr matrix = 0;
+  int allocs = 0;
+  sys.space().SetAllocHook([&](GlobalAddr addr, int64_t, bool) {
+    matrix = addr;
+    ++allocs;
+  });
+  app->Setup(sys);
+  ASSERT_EQ(allocs, 1);
+  sys.Run(app->Program());
+  std::string why;
+  ASSERT_TRUE(app->Verify(sys, &why)) << why;
+
+  // Element 0 of block (0, 0), which node 0 owns: a diagonal pivot near
+  // n = 128, where six decimals cannot tell neighbouring doubles apart.
+  std::byte* at = sys.NodeMemory(0, matrix);
+  uint64_t bits;
+  std::memcpy(&bits, at, sizeof bits);
+  double want;
+  std::memcpy(&want, &bits, sizeof want);
+  bits ^= 1;  // The lowest mantissa bit.
+  std::memcpy(at, &bits, sizeof bits);
+  double got;
+  std::memcpy(&got, &bits, sizeof got);
+
+  ASSERT_FALSE(app->Verify(sys, &why));
+  const size_t got_at = why.find("got ");
+  const size_t want_at = why.find(" want ");
+  ASSERT_NE(got_at, std::string::npos) << why;
+  ASSERT_NE(want_at, std::string::npos) << why;
+  const std::string got_text = why.substr(got_at + 4, want_at - got_at - 4);
+  const std::string want_text = why.substr(want_at + 6);
+  EXPECT_NE(got_text, want_text) << why;
+  EXPECT_EQ(std::strtod(got_text.c_str(), nullptr), got) << why;
+  EXPECT_EQ(std::strtod(want_text.c_str(), nullptr), want) << why;
+}
 
 // Checks that every value in `values` round-trips through `name`/`parse`,
 // and that `parse` rejects each of `bad` without touching its output.
