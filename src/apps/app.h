@@ -47,6 +47,10 @@ class App {
 // every node needs at least one row.
 std::string RowBandsError(const std::string& app, int rows, int nodes);
 
+// "got <got> want <want>", both to 17 significant digits, which tell any two
+// doubles apart: how a Verify mismatch message shows the values that differ.
+std::string GotWant(double got, double want);
+
 // Problem scale presets.
 enum class AppScale {
   kTiny,     // Unit-test sized; seconds of virtual time.

@@ -201,9 +201,8 @@ bool FftApp::Verify(System& sys, std::string* why) {
         if (std::abs(have - want) > 1e-9 * (1.0 + std::abs(want))) {
           if (why != nullptr) {
             *why = "FFT: row " + std::to_string(first + i) + " col " + std::to_string(j) +
-                   ": got (" + std::to_string(have.real()) + "," + std::to_string(have.imag()) +
-                   ") want (" + std::to_string(want.real()) + "," +
-                   std::to_string(want.imag()) + ")";
+                   ": real " + GotWant(have.real(), want.real()) + ", imag " +
+                   GotWant(have.imag(), want.imag());
           }
           return false;
         }

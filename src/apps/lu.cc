@@ -1,7 +1,6 @@
 #include "src/apps/lu.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "src/common/rng.h"
@@ -242,11 +241,8 @@ bool LuApp::Verify(System& sys, std::string* why) {
       for (int e = 0; e < B * B; ++e) {
         if (got[e] != want[e]) {
           if (why != nullptr) {
-            // 17 significant digits tell any two doubles apart.
-            char values[80];
-            std::snprintf(values, sizeof values, "got %.17g want %.17g", got[e], want[e]);
             *why = "LU: block (" + std::to_string(bi) + "," + std::to_string(bj) +
-                   ") element " + std::to_string(e) + " mismatch: " + values;
+                   ") element " + std::to_string(e) + " mismatch: " + GotWant(got[e], want[e]);
           }
           return false;
         }

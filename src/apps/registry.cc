@@ -3,6 +3,7 @@
 // app's .cc); this file only owns the table and the fixed paper-ordering
 // lists. New applications — including out-of-tree extensions like the
 // synthetic workloads in src/wkld — need no edit here.
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -95,6 +96,12 @@ std::string RowBandsError(const std::string& app, int rows, int nodes) {
   return "--nodes=" + std::to_string(nodes) + ": expected at most " + std::to_string(rows) +
          " for " + app + " (one band of its " + std::to_string(rows) +
          " rows per node at this scale)";
+}
+
+std::string GotWant(double got, double want) {
+  char text[80];
+  std::snprintf(text, sizeof text, "got %.17g want %.17g", got, want);
+  return text;
 }
 
 AppRunResult RunApp(App& app, const SimConfig& config) {

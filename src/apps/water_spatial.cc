@@ -350,8 +350,8 @@ bool WaterSpApp::Verify(System& sys, std::string* why) {
       const double want = ref_pos_[static_cast<size_t>(m) * 3 + static_cast<size_t>(d)];
       if (std::fabs(pos[d] - want) > 1e-7 || !std::isfinite(pos[d])) {
         if (why != nullptr) {
-          *why = "Water-Spatial: molecule " + std::to_string(m) + " dim " + std::to_string(d) +
-                 ": got " + std::to_string(pos[d]) + " want " + std::to_string(want);
+          *why = "Water-Spatial: position of molecule " + std::to_string(m) + ", dim " +
+                 std::to_string(d) + ": " + GotWant(pos[d], want);
         }
         return false;
       }
