@@ -16,26 +16,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan), rng_(plan.see
     HLRC_CHECK_MSG(!w.group_a.empty(), "partition window needs a non-empty group_a");
     HLRC_CHECK(w.start <= w.end);
   }
-  for (const SlowdownWindow& w : plan_.slowdowns) {
-    HLRC_CHECK(w.node != kInvalidNode && w.start <= w.end && w.extra_delay >= 0);
-  }
-  if (plan_.only_types.empty()) {
-    type_enabled_.fill(true);
-  } else {
-    type_enabled_.fill(false);
-    for (MsgType t : plan_.only_types) {
-      type_enabled_[static_cast<size_t>(t)] = true;
-    }
-  }
-}
-
-bool FaultInjector::TypeEnabled(MsgType type) const {
-  return type_enabled_[static_cast<size_t>(type)];
-}
-
-bool FaultInjector::PairEnabled(NodeId src, NodeId dst) const {
-  return (plan_.only_src == kInvalidNode || plan_.only_src == src) &&
-         (plan_.only_dst == kInvalidNode || plan_.only_dst == dst);
 }
 
 namespace {
@@ -69,17 +49,7 @@ bool FaultInjector::Partitioned(NodeId src, NodeId dst, SimTime now) const {
   return false;
 }
 
-SimTime FaultInjector::SlowdownDelay(NodeId src, NodeId dst, SimTime now) const {
-  SimTime extra = 0;
-  for (const SlowdownWindow& w : plan_.slowdowns) {
-    if (now >= w.start && now < w.end && (w.node == src || w.node == dst)) {
-      extra += w.extra_delay;
-    }
-  }
-  return extra;
-}
-
-FaultDecision FaultInjector::OnTransmit(NodeId src, NodeId dst, MsgType type, SimTime now,
+FaultDecision FaultInjector::OnTransmit(NodeId src, NodeId dst, MsgType, SimTime now,
                                         bool /*retransmit*/) {
   FaultDecision d;
 
@@ -90,13 +60,9 @@ FaultDecision FaultInjector::OnTransmit(NodeId src, NodeId dst, MsgType type, Si
     ++counters_.dropped;
     return d;
   }
-  d.extra_delay = SlowdownDelay(src, dst, now);
-  if (d.extra_delay > 0) {
-    ++counters_.slowdown_delayed;
-  }
 
   // Loopback frames never enter the fabric; probabilistic faults skip them.
-  if (src == dst || !PairEnabled(src, dst) || !TypeEnabled(type)) {
+  if (src == dst) {
     return d;
   }
 
@@ -124,7 +90,7 @@ FaultDecision FaultInjector::OnTransmit(NodeId src, NodeId dst, MsgType type, Si
   }
   if (u_delay < plan_.delay_prob) {
     const uint64_t span = static_cast<uint64_t>(plan_.delay_max - plan_.delay_min) + 1;
-    d.extra_delay += plan_.delay_min + static_cast<SimTime>(rng_.NextBounded(span));
+    d.extra_delay = plan_.delay_min + static_cast<SimTime>(rng_.NextBounded(span));
     ++counters_.delayed;
   }
   return d;

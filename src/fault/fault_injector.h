@@ -4,13 +4,12 @@
 // once per physical transmission (data frames, retransmissions and acks
 // alike) and applies the returned decision. Determinism contract: decisions
 // depend only on the plan, the seed and the (deterministic) sequence of
-// OnTransmit calls — the injector draws a fixed number of random values per
-// eligible frame, so a plan change that leaves a frame ineligible does not
-// shift the stream for later frames within the same eligibility class.
+// OnTransmit calls — the injector draws the same four random values for every
+// frame between two distinct nodes that no partition drops, whatever the
+// probabilities, so changing one probability does not shift the stream that
+// decides the other faults.
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
-
-#include <array>
 
 #include "src/common/rng.h"
 #include "src/fault/fault_plan.h"
@@ -22,7 +21,7 @@ class FaultInjector : public FaultHook {
  public:
   explicit FaultInjector(const FaultPlan& plan);
 
-  FaultDecision OnTransmit(NodeId src, NodeId dst, MsgType type, SimTime now,
+  FaultDecision OnTransmit(NodeId src, NodeId dst, MsgType, SimTime now,
                            bool retransmit) override;
 
   struct Counters {
@@ -31,7 +30,6 @@ class FaultInjector : public FaultHook {
     int64_t duplicated = 0;
     int64_t delayed = 0;
     int64_t partition_dropped = 0;
-    int64_t slowdown_delayed = 0;
   };
   const Counters& counters() const { return counters_; }
   const FaultPlan& plan() const { return plan_; }
@@ -40,13 +38,8 @@ class FaultInjector : public FaultHook {
   bool Partitioned(NodeId src, NodeId dst, SimTime now) const;
 
  private:
-  bool TypeEnabled(MsgType type) const;
-  bool PairEnabled(NodeId src, NodeId dst) const;
-  SimTime SlowdownDelay(NodeId src, NodeId dst, SimTime now) const;
-
   FaultPlan plan_;
   Rng rng_;
-  std::array<bool, static_cast<size_t>(MsgType::kCount)> type_enabled_{};
   Counters counters_;
 };
 

@@ -82,11 +82,9 @@ bool ParsePartitionSpec(const std::string& spec, PartitionWindow* out, std::stri
 std::string FaultPlanSummary(const FaultPlan& plan) {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "drop=%.4g corrupt=%.4g dup=%.4g delay=%.4g partitions=%zu slowdowns=%zu "
-                "seed=%llu",
+                "drop=%.4g corrupt=%.4g dup=%.4g delay=%.4g partitions=%zu seed=%llu",
                 plan.drop_prob, plan.corrupt_prob, plan.dup_prob, plan.delay_prob,
-                plan.partitions.size(), plan.slowdowns.size(),
-                static_cast<unsigned long long>(plan.seed));
+                plan.partitions.size(), static_cast<unsigned long long>(plan.seed));
   return buf;
 }
 

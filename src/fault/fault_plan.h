@@ -2,22 +2,19 @@
 //
 // A FaultPlan describes, deterministically, how the fabric misbehaves during
 // a run: per-frame probabilistic faults (drop / duplicate / delay /
-// corrupt-and-drop), optionally restricted by message type or node pair, plus
-// scheduled link-partition windows between node sets and transient node
-// slowdowns. The plan is pure data; src/fault/fault_injector.h executes it.
+// corrupt-and-drop) plus scheduled link-partition windows between node sets.
+// The plan is pure data; src/fault/fault_injector.h executes it.
 // All randomness comes from one explicit SplitMix64 seed — no wall-clock, no
 // global state — so a plan replays bit-identically (docs/FAULTS.md).
 #ifndef SRC_FAULT_FAULT_PLAN_H_
 #define SRC_FAULT_FAULT_PLAN_H_
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/net/message.h"
 
 namespace hlrc {
 
@@ -29,15 +26,6 @@ struct PartitionWindow {
   std::vector<NodeId> group_b;
   SimTime start = 0;
   SimTime end = std::numeric_limits<SimTime>::max();
-};
-
-// While now is in [start, end), every frame to or from `node` takes
-// `extra_delay` longer (a transiently slow or overloaded node).
-struct SlowdownWindow {
-  NodeId node = kInvalidNode;
-  SimTime start = 0;
-  SimTime end = std::numeric_limits<SimTime>::max();
-  SimTime extra_delay = Micros(500);
 };
 
 struct FaultPlan {
@@ -52,21 +40,12 @@ struct FaultPlan {
   SimTime delay_min = Micros(50);
   SimTime delay_max = Millis(2);
 
-  // Restrict probabilistic faults to one (src, dst) pair; kInvalidNode = any.
-  // Partition and slowdown windows are unaffected by these filters.
-  NodeId only_src = kInvalidNode;
-  NodeId only_dst = kInvalidNode;
-  // Restrict probabilistic faults to these message types; empty = all types
-  // (acks included — a lost ack exercises the retransmit/dedup path).
-  std::vector<MsgType> only_types;
-
   std::vector<PartitionWindow> partitions;
-  std::vector<SlowdownWindow> slowdowns;
 
   // True if this plan can affect any frame at all.
   bool Active() const {
     return drop_prob > 0 || corrupt_prob > 0 || dup_prob > 0 || delay_prob > 0 ||
-           !partitions.empty() || !slowdowns.empty();
+           !partitions.empty();
   }
 };
 

@@ -7,23 +7,17 @@
 namespace hlrc {
 namespace {
 
+static_assert(kDiffWordBytes == sizeof(uint64_t));
+
 // Word equality via memcpy'd integer loads: compiles to one aligned load per
 // side (offsets are word-multiples into word-aligned buffers) without the
 // call overhead and byte-wise tail handling of per-word memcmp, and is
 // strict-aliasing- and sanitizer-clean.
-template <int W>
-inline bool WordEq(const std::byte* a, const std::byte* b) {
-  if constexpr (W == 8) {
-    uint64_t x, y;
-    std::memcpy(&x, a, 8);
-    std::memcpy(&y, b, 8);
-    return x == y;
-  } else {
-    uint32_t x, y;
-    std::memcpy(&x, a, 4);
-    std::memcpy(&y, b, 4);
-    return x == y;
-  }
+inline bool SameWord(const std::byte* a, const std::byte* b) {
+  uint64_t x, y;
+  std::memcpy(&x, a, sizeof(x));
+  std::memcpy(&y, b, sizeof(y));
+  return x == y;
 }
 
 inline void AppendRun(Diff* out, int64_t start, int64_t length, const std::byte* current) {
@@ -35,36 +29,20 @@ inline void AppendRun(Diff* out, int64_t start, int64_t length, const std::byte*
   out->runs.push_back(run);
 }
 
-// Scans [0, page_bytes) at word granularity W, producing maximal runs of
-// differing words — the exact run structure of CreateDiffReference. Clean
-// stretches are skipped 8 bytes at a time with uint64_t loads; only granules
-// known to contain a difference fall back to word-size comparisons.
-template <int W>
+// Scans [0, page_bytes) one word at a time, producing maximal runs of
+// differing words — the exact run structure of CreateDiffReference.
 void ScanDiff(const std::byte* twin, const std::byte* current, int64_t page_bytes, Diff* out) {
   int64_t off = 0;
   while (off < page_bytes) {
-    // Fast-skip the clean region ahead, one 8-byte granule per iteration.
-    while (off + 8 <= page_bytes) {
-      uint64_t a, b;
-      std::memcpy(&a, twin + off, 8);
-      std::memcpy(&b, current + off, 8);
-      if (a != b) {
-        break;
-      }
-      off += 8;
-    }
-    // Either a dirty granule sits at `off`, or fewer than 8 bytes remain.
-    // Locate the first differing word (for W == 4 the granule's leading word
-    // may still be clean), then extend the run over consecutive dirty words.
-    while (off < page_bytes && WordEq<W>(twin + off, current + off)) {
-      off += W;
+    while (off < page_bytes && SameWord(twin + off, current + off)) {
+      off += kDiffWordBytes;
     }
     if (off >= page_bytes) {
       break;
     }
     const int64_t run_start = off;
-    while (off < page_bytes && !WordEq<W>(twin + off, current + off)) {
-      off += W;
+    while (off < page_bytes && !SameWord(twin + off, current + off)) {
+      off += kDiffWordBytes;
     }
     AppendRun(out, run_start, off - run_start, current);
   }
@@ -86,9 +64,8 @@ int64_t Diff::EncodedSize() const {
 }
 
 Diff CreateDiff(PageId page, const std::byte* twin, const std::byte* current,
-                int64_t page_bytes, int word_bytes) {
-  HLRC_CHECK(word_bytes == 4 || word_bytes == 8);
-  HLRC_CHECK(page_bytes % word_bytes == 0);
+                int64_t page_bytes) {
+  HLRC_CHECK(page_bytes % kDiffWordBytes == 0);
 
   Diff diff;
   diff.page = page;
@@ -100,26 +77,21 @@ Diff CreateDiff(PageId page, const std::byte* twin, const std::byte* current,
     return diff;
   }
   diff.runs.reserve(8);
-  if (word_bytes == 8) {
-    ScanDiff<8>(twin, current, page_bytes, &diff);
-  } else {
-    ScanDiff<4>(twin, current, page_bytes, &diff);
-  }
+  ScanDiff(twin, current, page_bytes, &diff);
   diff.cached_encoded_size = ComputeEncodedSize(diff);
   return diff;
 }
 
 Diff CreateDiffReference(PageId page, const std::byte* twin, const std::byte* current,
-                         int64_t page_bytes, int word_bytes) {
-  HLRC_CHECK(word_bytes == 4 || word_bytes == 8);
-  HLRC_CHECK(page_bytes % word_bytes == 0);
+                         int64_t page_bytes) {
+  HLRC_CHECK(page_bytes % kDiffWordBytes == 0);
 
   Diff diff;
   diff.page = page;
   int64_t run_start = -1;
-  for (int64_t off = 0; off <= page_bytes; off += word_bytes) {
+  for (int64_t off = 0; off <= page_bytes; off += kDiffWordBytes) {
     const bool differs =
-        off < page_bytes && std::memcmp(twin + off, current + off, word_bytes) != 0;
+        off < page_bytes && std::memcmp(twin + off, current + off, kDiffWordBytes) != 0;
     if (differs) {
       if (run_start < 0) {
         run_start = off;

@@ -11,9 +11,10 @@
 // one contiguous buffer instead of one vector per run, so a diff costs at
 // most two allocations regardless of run count, and DataBytes/EncodedSize —
 // called on every traffic-accounting path — are O(1). CreateDiff
-// short-circuits clean pages with a single whole-page memcmp and scans 8
-// bytes at a time; CreateDiffReference keeps the original word-by-word
-// implementation for differential testing (tests/test_diff_fast.cc).
+// short-circuits clean pages with a single whole-page memcmp and compares
+// words as 8-byte integers; CreateDiffReference keeps the original
+// word-by-word memcmp implementation for differential testing
+// (tests/test_diff_fast.cc).
 #ifndef SRC_MEM_DIFF_H_
 #define SRC_MEM_DIFF_H_
 
@@ -24,6 +25,10 @@
 #include "src/common/types.h"
 
 namespace hlrc {
+
+// Diff granularity in bytes. The Paragon's i860 wrote 4-byte words; moving to
+// them is a fidelity change with goldens of its own.
+constexpr int64_t kDiffWordBytes = 8;
 
 struct DiffRun {
   uint32_t offset = 0;       // Byte offset within the page.
@@ -56,16 +61,16 @@ struct Diff {
   int64_t cached_encoded_size = -1;
 };
 
-// Compares `current` against `twin` with `word_bytes` granularity (4 or 8)
-// and returns the diff. `page_bytes` must be a multiple of `word_bytes`.
+// Compares `current` against `twin` one kDiffWordBytes word at a time and
+// returns the diff. `page_bytes` must be a multiple of kDiffWordBytes.
 Diff CreateDiff(PageId page, const std::byte* twin, const std::byte* current,
-                int64_t page_bytes, int word_bytes);
+                int64_t page_bytes);
 
 // The pre-optimization implementation (per-word memcmp, no clean-page
 // short-circuit). Kept as the differential-testing oracle for CreateDiff
 // (test_diff_fast); must produce byte-identical runs.
 Diff CreateDiffReference(PageId page, const std::byte* twin, const std::byte* current,
-                         int64_t page_bytes, int word_bytes);
+                         int64_t page_bytes);
 
 // Applies `diff` onto `target` (a page-sized buffer).
 void ApplyDiff(const Diff& diff, std::byte* target, int64_t page_bytes);

@@ -60,9 +60,6 @@ Network::Network(Engine* engine, int nodes, NetworkConfig config)
       in_free_(nodes, 0),
       stats_(nodes),
       last_delivered_type_(nodes, static_cast<uint32_t>(MsgType::kCount)) {
-  if (config_.model_link_contention) {
-    link_free_.assign(static_cast<size_t>(mesh_.MaxLinkId()), 0);
-  }
   if (config_.coalesce) {
     pending_.resize(static_cast<size_t>(nodes) * static_cast<size_t>(nodes));
   }
@@ -79,12 +76,11 @@ void Network::EnableReliableDelivery(const ReliabilityConfig& config) {
   HLRC_CHECK_MSG(!sent_anything_, "EnableReliableDelivery must precede any Send");
   HLRC_CHECK(config.enabled);
   HLRC_CHECK(config.retry_timeout > 0);
-  HLRC_CHECK(config.retry_backoff >= 1.0);
   HLRC_CHECK(config.max_retries >= 0);
   if (config_.coalesce) {
-    HLRC_CHECK_MSG(config.ack_delay > 0 && config.ack_delay < config.retry_timeout,
-                   "piggyback ack_delay must be positive and below retry_timeout, or "
-                   "deferred acks would trigger spurious retransmissions");
+    HLRC_CHECK_MSG(kAckDelay < config.retry_timeout,
+                   "piggyback kAckDelay must be below retry_timeout, or deferred acks "
+                   "would trigger spurious retransmissions");
   }
   channel_ = std::make_unique<ReliableChannel>(engine_, this, config,
                                                static_cast<int>(handlers_.size()));
@@ -176,7 +172,7 @@ void Network::FlushPending(NodeId src, NodeId dst) {
   const SimTime now = engine_->Now();
   for (Message& part : batch) {
     bundle.update_bytes += part.update_bytes;
-    bundle.protocol_bytes += part.protocol_bytes + config_.part_header_bytes;
+    bundle.protocol_bytes += part.protocol_bytes + kPartHeaderBytes;
     if (spans_ != nullptr && part.span != kNoSpan) {
       // The hold is zero simulated time (the flush runs in the same tick),
       // but the span keeps each part's causal chain connected through the
@@ -250,20 +246,6 @@ void Network::Transmit(const std::shared_ptr<WireFrame>& frame, bool retransmit)
     const SimTime jitter = jitter_hook_(frame->src, frame->dst, frame->type);
     HLRC_CHECK(jitter >= 0);
     head_arrival += jitter;
-  }
-
-  if (config_.model_link_contention && frame->src != frame->dst) {
-    // A wormhole route holds all its links for the duration of the transfer;
-    // approximate by serializing on the maximum link availability.
-    SimTime route_free = 0;
-    const std::vector<int64_t> route = mesh_.Route(frame->src, frame->dst);
-    for (int64_t l : route) {
-      route_free = std::max(route_free, link_free_[static_cast<size_t>(l)]);
-    }
-    head_arrival = std::max(head_arrival, route_free + config_.base_latency);
-    for (int64_t l : route) {
-      link_free_[static_cast<size_t>(l)] = head_arrival + xfer - config_.base_latency;
-    }
   }
 
   if (fault.drop) {

@@ -4,8 +4,7 @@
 // overhead) + per-hop wire time + per-byte transfer time, with serialization
 // at the sending and receiving NIC channels. Endpoint serialization is what
 // produces the paper's "hot spots": simultaneous requests to one node queue
-// behind each other. An optional link-contention model additionally reserves
-// every mesh link along the XY route.
+// behind each other.
 //
 // Two optional layers turn the clean fabric into a degradation-testing
 // harness (docs/FAULTS.md):
@@ -37,6 +36,9 @@ namespace hlrc {
 
 class Metrics;
 
+// Per-part length prefix charged inside a coalesced bundle frame.
+constexpr int64_t kPartHeaderBytes = 4;
+
 struct NetworkConfig {
   // One-way latency of a minimal message, including software overheads.
   SimTime base_latency = Micros(50);
@@ -47,18 +49,14 @@ struct NetworkConfig {
   SimTime per_byte = Nanos(43);
   // Fixed header bytes added to every message (type, timestamps, addresses).
   int64_t header_bytes = 32;
-  // Model per-link occupancy along the XY route (ablation option).
-  bool model_link_contention = false;
   // The coalesced wire plane (--coalesce), one switch for three parts:
   // same-tick messages to one peer are packed into a single multi-part
-  // kBundle frame (one header charge plus `part_header_bytes` per part),
+  // kBundle frame (one header charge plus kPartHeaderBytes per part),
   // acks piggyback on reverse data frames when reliable delivery is on, and
   // HLRC/AURC homes answer concurrent fetches of a page from one snapshot.
   // Default off: the coalesced wire plane is an opt-in ablation, and the
   // golden summaries pin the uncoalesced traffic counts.
   bool coalesce = false;
-  // Per-part length prefix charged inside a bundle.
-  int64_t part_header_bytes = 4;
 };
 
 // Per-node traffic counters (Table 5). Send-side counters count physical
@@ -218,7 +216,6 @@ class Network {
   std::vector<Handler> handlers_;
   std::vector<SimTime> out_free_;  // Send channel free time per node.
   std::vector<SimTime> in_free_;   // Receive channel free time per node.
-  std::vector<SimTime> link_free_;
   std::vector<TrafficStats> stats_;
   FaultHook* fault_hook_ = nullptr;
   DeliveryJitterHook jitter_hook_;

@@ -50,7 +50,7 @@ void ReliableChannel::SubmitData(Message msg) {
       frame->ack_seqs = std::move(ap.pending);
       ap.pending.clear();
       frame->protocol_bytes +=
-          config_.ack_bytes * static_cast<int64_t>(frame->ack_seqs.size());
+          kAckBytes * static_cast<int64_t>(frame->ack_seqs.size());
       network_->stats_[frame->src].acks_piggybacked +=
           static_cast<int64_t>(frame->ack_seqs.size());
       if (ap.deadline != Engine::kInvalidEvent) {
@@ -89,7 +89,7 @@ void ReliableChannel::TransmitAttempt(SenderPair& sp, uint64_t seq) {
   // Exponential backoff: pure integer/double arithmetic on virtual time, so
   // identical runs schedule identical timers.
   const SimTime timeout = static_cast<SimTime>(
-      static_cast<double>(config_.retry_timeout) * std::pow(config_.retry_backoff, o.attempts - 1));
+      static_cast<double>(config_.retry_timeout) * std::pow(kRetryBackoff, o.attempts - 1));
   o.timer = engine_->Schedule(
       timeout, [this, src = o.frame->src, dst = o.frame->dst, seq] { OnTimeout(src, dst, seq); });
 }
@@ -107,7 +107,7 @@ void ReliableChannel::OnTimeout(NodeId src, NodeId dst, uint64_t seq) {
       "(retry-timeout=%lld ns, backoff=%.2f, max-retries=%d): the destination is "
       "unreachable (partition?) or the retry budget is too small for this loss rate",
       MsgTypeName(o.frame->type), src, dst, static_cast<unsigned long long>(seq), o.attempts,
-      static_cast<long long>(config_.retry_timeout), config_.retry_backoff,
+      static_cast<long long>(config_.retry_timeout), kRetryBackoff,
       config_.max_retries);
   TransmitAttempt(sp, seq);
 }
@@ -118,7 +118,7 @@ void ReliableChannel::SendAck(NodeId acker, NodeId peer, std::vector<uint64_t> s
   ack->dst = peer;
   ack->type = MsgType::kAck;
   ack->is_ack = true;
-  ack->protocol_bytes = config_.ack_bytes * static_cast<int64_t>(seqs.size());
+  ack->protocol_bytes = kAckBytes * static_cast<int64_t>(seqs.size());
   ack->ack_seqs = std::move(seqs);
   ++network_->stats_[acker].acks_sent;
   network_->Transmit(ack, /*retransmit=*/false);
@@ -165,7 +165,7 @@ void ReliableChannel::QueueAck(const WireFrame& data_frame) {
   ap.pending.push_back(data_frame.seq);
   if (ap.deadline == Engine::kInvalidEvent) {
     ap.deadline = engine_->Schedule(
-        config_.ack_delay, [this, acker = data_frame.dst, peer = data_frame.src] {
+        kAckDelay, [this, acker = data_frame.dst, peer = data_frame.src] {
           FlushAcks(acker, peer);
         });
   }

@@ -12,8 +12,8 @@
 // Wire model: each Network::Send becomes a sequenced data frame. Every
 // physical arrival of a data frame is acknowledged (acks are header-sized
 // kAck messages, themselves subject to fault injection). The sender
-// retransmits an unacked frame after `retry_timeout`, doubling the timeout
-// by `retry_backoff` per attempt; exhausting `max_retries` is a fatal
+// retransmits an unacked frame after `retry_timeout`, multiplying the timeout
+// by kRetryBackoff per attempt; exhausting `max_retries` is a fatal
 // diagnostic (the run aborts instead of hanging). The receiver delivers
 // frames to the protocol handler in sequence order per (src, dst) pair,
 // holding out-of-order arrivals and dropping duplicates.
@@ -36,6 +36,21 @@ namespace hlrc {
 
 class Network;
 
+// Timeout multiplier per successive attempt of the same frame.
+constexpr double kRetryBackoff = 2.0;
+// Protocol bytes carried by an ack per sequence number; headers are added by
+// the network like any other message.
+constexpr int64_t kAckBytes = 8;
+// Ack piggybacking (on whenever NetworkConfig::coalesce is): instead of a
+// standalone ack frame per data arrival, owed ack seqs ride the next data
+// frame to that peer; a deadline timer flushes a standalone (possibly
+// multi-seq) ack when no data frame materializes within kAckDelay. It must
+// exceed the typical request turnaround (receive interrupt 690 us + service)
+// so replies can carry the request's ack, while staying below
+// `retry_timeout`, or deferring the ack would itself trigger spurious
+// retransmissions (SimConfig::Validate rejects a timeout at or below it).
+constexpr SimTime kAckDelay = Micros(1500);
+
 struct ReliabilityConfig {
   bool enabled = false;
   // First retransmission fires this long after a transmission attempt. Must
@@ -43,24 +58,10 @@ struct ReliabilityConfig {
   // transfer + endpoint queueing), or spurious retransmits waste bandwidth
   // (they are harmless for correctness: the receiver dedups).
   SimTime retry_timeout = Millis(10);
-  // Timeout multiplier per successive attempt of the same frame.
-  double retry_backoff = 2.0;
   // Retransmissions allowed per frame before the run aborts with a fatal
-  // diagnostic. With backoff 2.0 the total patience is
+  // diagnostic. With kRetryBackoff 2.0 the total patience is
   // retry_timeout * (2^max_retries - 1).
   int max_retries = 12;
-  // Protocol bytes carried by an ack (sequence number); headers are added by
-  // the network like any other message.
-  int64_t ack_bytes = 8;
-  // Ack piggybacking (on whenever NetworkConfig::coalesce is): instead of a
-  // standalone ack frame per data arrival, owed ack seqs ride the next data
-  // frame to that peer; a deadline timer flushes a standalone (possibly
-  // multi-seq) ack when no data frame materializes within `ack_delay`. It
-  // must exceed the typical request turnaround (receive interrupt 690 us +
-  // service) so replies can carry the request's ack, while staying well
-  // below `retry_timeout`, or deferring the ack would itself trigger
-  // spurious retransmissions.
-  SimTime ack_delay = Micros(1500);
 };
 
 // One physical transmission unit. Data frames reference the original Message

@@ -20,38 +20,4 @@ int Mesh2D::Hops(NodeId a, NodeId b) const {
   return std::abs(ar - br) + std::abs(ac - bc);
 }
 
-int64_t Mesh2D::LinkId(int from_row, int from_col, int to_row, int to_col) const {
-  // Direction: 0=E, 1=W, 2=S, 3=N.
-  int dir;
-  if (to_col == from_col + 1 && to_row == from_row) {
-    dir = 0;
-  } else if (to_col == from_col - 1 && to_row == from_row) {
-    dir = 1;
-  } else if (to_row == from_row + 1 && to_col == from_col) {
-    dir = 2;
-  } else {
-    HLRC_CHECK(to_row == from_row - 1 && to_col == from_col);
-    dir = 3;
-  }
-  return (static_cast<int64_t>(from_row) * cols_ + from_col) * 4 + dir;
-}
-
-std::vector<int64_t> Mesh2D::Route(NodeId a, NodeId b) const {
-  std::vector<int64_t> links;
-  auto [r, c] = Coord(a);
-  const auto [br, bc] = Coord(b);
-  // X first, then Y (dimension-ordered routing).
-  while (c != bc) {
-    const int nc = c + (bc > c ? 1 : -1);
-    links.push_back(LinkId(r, c, r, nc));
-    c = nc;
-  }
-  while (r != br) {
-    const int nr = r + (br > r ? 1 : -1);
-    links.push_back(LinkId(r, c, nr, c));
-    r = nr;
-  }
-  return links;
-}
-
 }  // namespace hlrc

@@ -1,12 +1,10 @@
 // 2-D mesh topology with dimension-ordered (XY) routing, matching the
 // Paragon's wormhole-routed mesh. Only the hop count matters for the latency
-// model; the route enumeration is used by the optional link-contention model.
+// model.
 #ifndef SRC_NET_TOPOLOGY_H_
 #define SRC_NET_TOPOLOGY_H_
 
-#include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/types.h"
@@ -29,15 +27,6 @@ class Mesh2D {
 
   // Manhattan distance under XY routing.
   int Hops(NodeId a, NodeId b) const;
-
-  // Unique id for the directed link from mesh coordinate u to adjacent v.
-  // Used by the link-contention model.
-  int64_t LinkId(int from_row, int from_col, int to_row, int to_col) const;
-
-  // Enumerates the directed links of the XY route from a to b, in order.
-  std::vector<int64_t> Route(NodeId a, NodeId b) const;
-
-  int64_t MaxLinkId() const { return 4LL * rows_ * cols_; }
 
  private:
   int nodes_;

@@ -16,7 +16,7 @@ void AurcProtocol::ShipDiff(PageId page, uint32_t interval, Diff diff,
   // wire, sent at close. The flush carries the writer's interval so the
   // home's flush timestamps stay exact.
   const int64_t wire_bytes = static_cast<int64_t>(
-      static_cast<double>(diff.DataBytes()) * env().options->aurc_write_amplification);
+      static_cast<double>(diff.DataBytes()) * kAurcWriteAmplification);
   // No diff operation happened, but the amplified update bytes are still
   // attributable page traffic for the heat profile.
   MetricDiffCreated(page, wire_bytes);

@@ -8,7 +8,7 @@
 // capture (twins) and update detection are free, updates reach the home
 // without occupying either processor, and the write-through traffic is
 // amplified (every store crosses the network; we observe only the final
-// dirty words and scale by ProtocolOptions::aurc_write_amplification). The
+// dirty words and scale by kAurcWriteAmplification, src/proto/options.h). The
 // only overridden steps are how a diff leaves the writer (ShipDiff) and how
 // it lands at the home (HandleProtocolMessage). Comparing AURC with HLRC
 // quantifies the paper's central tradeoff: HLRC pays diffing software

@@ -314,7 +314,7 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
     streak.writer = writer;
     streak.count = 0;
   }
-  if (++streak.count < env().options->migrate_threshold) {
+  if (++streak.count < kMigrateThreshold) {
     return;
   }
   // A stable remote single writer: hand it the home so its future writes hit

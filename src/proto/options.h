@@ -113,26 +113,28 @@ inline constexpr EnumName<TestMutation> kTestMutationNames[] = {
 const char* TestMutationName(TestMutation m);
 bool ParseTestMutationName(const std::string& s, TestMutation* out);
 
+// AURC write-through amplification: the automatic-update hardware resends
+// a word each time it is stored; we observe only the final dirty words, so
+// traffic is modelled as amplification x dirty bytes.
+constexpr double kAurcWriteAmplification = 1.5;
+
+// Consecutive diff flushes from one remote writer after which a page's home
+// migrates to that writer (ProtocolOptions::migrate_homes).
+constexpr int kMigrateThreshold = 3;
+
 struct ProtocolOptions {
   ProtocolKind kind = ProtocolKind::kHlrc;
   HomePolicy home_policy = HomePolicy::kBlock;
   DiffPolicy diff_policy = DiffPolicy::kEager;
-  // AURC write-through amplification: the automatic-update hardware resends
-  // a word each time it is stored; we observe only the final dirty words, so
-  // traffic is modelled as amplification x dirty bytes.
-  double aurc_write_amplification = 1.5;
-  // Home migration (home-based protocols): when a page's home observes this
-  // many consecutive diff flushes from the same remote writer, it transfers
-  // the home to that writer — turning a chronically misplaced page into a
-  // home-effect page (extension; the dynamic version of the paper's "homes
-  // chosen intelligently", §2.2).
+  // Home migration (home-based protocols): when a page's home observes
+  // kMigrateThreshold consecutive diff flushes from the same remote writer,
+  // it transfers the home to that writer — turning a chronically misplaced
+  // page into a home-effect page (extension; the dynamic version of the
+  // paper's "homes chosen intelligently", §2.2).
   bool migrate_homes = false;
-  int migrate_threshold = 3;
   // Homeless protocols trigger garbage collection at a barrier when a node's
   // protocol memory exceeds this threshold.
   int64_t gc_threshold_bytes = 4ll << 20;
-  // Diff granularity in bytes (4 or 8).
-  int diff_word_bytes = 8;
   // Combining barrier tree (--barrier-arity=N, N >= 2): barrier enters fan in
   // and releases fan out over an N-ary tree rooted at the manager instead of
   // the flat all-to-manager pattern, so the manager NIC serializes O(arity)

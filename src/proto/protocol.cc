@@ -172,7 +172,7 @@ int64_t ProtocolNode::ProtocolMemoryBytes() const {
 Diff ProtocolNode::TakeTwinDiff(PageId page) {
   HLRC_CHECK(pages().HasTwin(page));
   Diff d = CreateDiff(page, pages().State(page).twin.get(), pages().PageData(page),
-                      pages().page_size(), env_.options->diff_word_bytes);
+                      pages().page_size());
   pages().DropTwin(page);
   return d;
 }
@@ -181,8 +181,7 @@ void ProtocolNode::InstallPageData(PageId page, const std::vector<std::byte>& da
   HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
   std::byte* dst = pages().PageData(page);
   if (pages().HasTwin(page)) {
-    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
-                            env_.options->diff_word_bytes);
+    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size());
     std::memcpy(dst, data.data(), data.size());
     std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
     ApplyDiff(local, dst, pages().page_size());

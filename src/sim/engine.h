@@ -128,25 +128,6 @@ class Engine {
     }
   }
 
-  // Runs until no events remain or virtual time would exceed `deadline`.
-  // Returns true if the queue drained, false if the deadline stopped the run.
-  bool RunUntil(SimTime deadline) {
-    while (!Idle()) {
-      if (NextEventTime() > deadline) {
-        return false;
-      }
-      Step();
-    }
-    return true;
-  }
-
-  // Virtual time of the next runnable event; deadline checks only.
-  SimTime NextEventTime() {
-    DropCancelledTop();
-    HLRC_CHECK(!heap_.empty());
-    return heap_.front().time;
-  }
-
   bool Idle() {
     DropCancelledTop();
     return heap_.empty();

@@ -7,23 +7,6 @@ namespace hlrc {
 Processor::Processor(Engine* engine, std::string name)
     : engine_(engine), name_(std::move(name)) {}
 
-void Processor::MarkBusyStart() {
-  if (is_idle_) {
-    if (idle_hook_ && engine_->Now() > idle_since_) {
-      idle_hook_(idle_since_, engine_->Now());
-    }
-    is_idle_ = false;
-    busy_since_ = engine_->Now();
-  }
-}
-
-void Processor::MarkIdleStart() {
-  if (!is_idle_) {
-    is_idle_ = true;
-    idle_since_ = engine_->Now();
-  }
-}
-
 void Processor::StartApp(SimTime duration, BusyCat cat, std::coroutine_handle<> waiter) {
   HLRC_CHECK_MSG(!app_active_, "processor %s: overlapping application executions",
                  name_.c_str());
@@ -38,7 +21,6 @@ void Processor::StartApp(SimTime duration, BusyCat cat, std::coroutine_handle<> 
 
 void Processor::StartAppSlice() {
   HLRC_CHECK(app_active_ && !app_slice_running_ && !service_active_);
-  MarkBusyStart();
   app_slice_running_ = true;
   app_slice_started_ = engine_->Now();
   app_event_ = engine_->Schedule(app_remaining_, [this] { FinishApp(); });
@@ -53,9 +35,6 @@ void Processor::FinishApp() {
   app_event_ = Engine::kInvalidEvent;
   std::coroutine_handle<> waiter = app_waiter_;
   app_waiter_ = nullptr;
-  if (!service_active_ && service_queue_.empty()) {
-    MarkIdleStart();
-  }
   // Resume the application coroutine directly: we are inside an engine event.
   waiter.resume();
 }
@@ -85,7 +64,6 @@ void Processor::RunService(SimTime duration, BusyCat cat, std::function<void()> 
 
 void Processor::StartNextService() {
   HLRC_CHECK(service_active_ && !service_queue_.empty());
-  MarkBusyStart();
   Service svc = std::move(service_queue_.front());
   service_queue_.pop_front();
   engine_->Schedule(svc.duration, [this, svc = std::move(svc)]() mutable {
@@ -103,8 +81,6 @@ void Processor::StartNextService() {
     if (app_active_) {
       // Resume the preempted (or newly requested) application work.
       StartAppSlice();
-    } else {
-      MarkIdleStart();
     }
   });
 }

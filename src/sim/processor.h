@@ -11,9 +11,8 @@
 //    This matches the Paragon: a receive interrupt suspends computation, and
 //    the co-processor's dispatch loop serves requests one at a time.
 //
-// The processor accounts busy time per category, and reports idle periods to
-// an optional hook so that the node can attribute application blocked time
-// (data / lock / barrier waits) for the paper's time-breakdown figures.
+// The processor accounts busy time per category; application blocked time
+// (data / lock / barrier waits) is the protocols' WaitScope accounting.
 #ifndef SRC_SIM_PROCESSOR_H_
 #define SRC_SIM_PROCESSOR_H_
 
@@ -62,13 +61,6 @@ class Processor {
   // Total busy time by category.
   const BusyBreakdown& busy() const { return busy_; }
 
-  // Hook invoked as OnIdle(start, end) for every maximal interval during
-  // which the processor was idle while the simulation advanced.
-  void SetIdleHook(std::function<void(SimTime, SimTime)> hook) { idle_hook_ = std::move(hook); }
-
-  bool IsBusy() const { return app_active_ || service_active_; }
-  SimTime BusySince() const { return busy_since_; }
-
   const std::string& name() const { return name_; }
 
  private:
@@ -79,8 +71,6 @@ class Processor {
   void FinishApp();
   void PreemptApp();
   void StartNextService();
-  void MarkBusyStart();
-  void MarkIdleStart();
 
   Engine* engine_;
   std::string name_;
@@ -105,10 +95,6 @@ class Processor {
 
   // Accounting.
   BusyBreakdown busy_;
-  SimTime idle_since_ = 0;
-  SimTime busy_since_ = 0;
-  bool is_idle_ = true;
-  std::function<void(SimTime, SimTime)> idle_hook_;
 };
 
 }  // namespace hlrc

@@ -7,6 +7,7 @@
 
 #include "src/common/types.h"
 #include "src/fault/fault_plan.h"
+#include "src/mem/diff.h"
 #include "src/net/network.h"
 #include "src/net/reliable_channel.h"
 #include "src/proto/cost_model.h"
@@ -14,9 +15,8 @@
 
 namespace hlrc {
 
-// Smallest page the simulator accepts: one diff word of the widest
-// granularity (ProtocolOptions::diff_word_bytes).
-constexpr int64_t kMinPageBytes = 8;
+// Smallest page the simulator accepts: one diff word.
+constexpr int64_t kMinPageBytes = kDiffWordBytes;
 
 // Why `page_size` cannot cut a `shared_bytes` shared space into pages, as a
 // "--page-size=N: expected ..." message, or "" when it can: a page is a power

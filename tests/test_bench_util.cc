@@ -238,6 +238,25 @@ TEST(BenchUtil, PageSizeIsAPowerOfTwoWithinTheSpace) {
   EXPECT_EQ(cfg.Validate(), PageSizeError(3000, cfg.shared_bytes));
 }
 
+// A piggybacked ack may wait kAckDelay, so under --coalesce a retransmit
+// timeout at or below it is a usage error, not an abort inside the network.
+TEST(BenchUtil, CoalescedRetryTimeoutExceedsTheAckDelay) {
+  SimConfig cfg;
+  cfg.network.coalesce = true;
+  cfg.reliability.enabled = true;
+  cfg.reliability.retry_timeout = kAckDelay;
+  EXPECT_EQ(cfg.Validate(), "--retry-timeout=1500: expected more than 1500 with --coalesce");
+  cfg.reliability.retry_timeout = kAckDelay + Micros(1);
+  EXPECT_EQ(cfg.Validate(), "");
+  // Fault injection turns reliable delivery on by itself.
+  cfg.reliability.enabled = false;
+  cfg.reliability.retry_timeout = Micros(1000);
+  cfg.fault.drop_prob = 0.01;
+  EXPECT_EQ(cfg.Validate(), "--retry-timeout=1000: expected more than 1500 with --coalesce");
+  cfg.network.coalesce = false;
+  EXPECT_EQ(cfg.Validate(), "");
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace hlrc

@@ -37,13 +37,15 @@ TEST_P(ConsistencyFuzzTest, LockedAccumulationMatchesModel) {
   const int rounds = static_cast<int>(setup_rng.NextInt(1, 4));
   const int regions = static_cast<int>(setup_rng.NextInt(2, 8));
 
-  // Randomize the configuration space too: page size, diff granularity,
-  // diff policy, GC pressure, home migration, interrupt cost.
+  // Randomize the configuration space too: page size, diff policy, GC
+  // pressure, home migration, interrupt cost.
   const int64_t page_sizes[] = {512, 1024, 4096};
   SimConfig cfg = testing::SmallConfig(params.kind, nodes, 4 << 20,
                                        page_sizes[setup_rng.NextBounded(3)]);
   cfg.protocol.gc_threshold_bytes = setup_rng.NextBool(0.3) ? 16 << 10 : 4 << 20;
-  cfg.protocol.diff_word_bytes = setup_rng.NextBool() ? 4 : 8;
+  // Discarded draw: it once chose the diff word size, and keeping it leaves
+  // every later draw of each seed where it was.
+  setup_rng.NextBool();
   cfg.protocol.diff_policy = setup_rng.NextBool(0.3) ? DiffPolicy::kLazy : DiffPolicy::kEager;
   cfg.protocol.migrate_homes = setup_rng.NextBool(0.3);
   if (setup_rng.NextBool(0.25)) {

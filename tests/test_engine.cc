@@ -84,17 +84,6 @@ TEST(Engine, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(e.Step());
 }
 
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine e;
-  int count = 0;
-  e.Schedule(Micros(10), [&] { ++count; });
-  e.Schedule(Micros(20), [&] { ++count; });
-  EXPECT_FALSE(e.RunUntil(Micros(15)));
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(e.RunUntil(Micros(100)));
-  EXPECT_EQ(count, 2);
-}
-
 TEST(Engine, CountsProcessedEvents) {
   Engine e;
   for (int i = 0; i < 5; ++i) {

@@ -82,31 +82,6 @@ TEST(AurcProperties, MatchesHlrcResultsBitwise) {
   }
 }
 
-TEST(AurcProperties, TrafficScalesWithAmplification) {
-  int64_t update_bytes[2] = {0, 0};
-  const double amps[2] = {1.0, 3.0};
-  for (int k = 0; k < 2; ++k) {
-    SimConfig cfg = SmallConfig(ProtocolKind::kAurc, 4);
-    cfg.protocol.home_policy = HomePolicy::kSingleNode;
-    cfg.protocol.aurc_write_amplification = amps[k];
-    System sys(cfg);
-    const GlobalAddr addr = sys.space().AllocPageAligned(4096);
-    sys.Run([&](NodeContext& ctx) -> Task<void> {
-      for (int r = 0; r < 3; ++r) {
-        if (ctx.id() == 1) {
-          co_await ctx.Write(addr, 4096);
-          std::memset(ctx.Ptr<char>(addr), r + 1, 4096);
-        }
-        co_await ctx.Barrier(0);
-        co_await ctx.Read(addr, 4096);
-        co_await ctx.Barrier(1);
-      }
-    });
-    update_bytes[k] = sys.report().Totals().traffic.update_bytes_sent;
-  }
-  EXPECT_GT(update_bytes[1], update_bytes[0]);
-}
-
 TEST(AurcProperties, NoGarbageCollectionEver) {
   SimConfig cfg = SmallConfig(ProtocolKind::kAurc, 4);
   cfg.protocol.gc_threshold_bytes = 1024;  // Would trigger constantly on LRC.

@@ -104,24 +104,6 @@ TEST(FaultInjector, EmptyGroupBMeansEveryoneElse) {
   EXPECT_FALSE(inj.Partitioned(1, 2, Millis(1)));
 }
 
-TEST(FaultInjector, TypeFilterRestrictsProbabilisticFaults) {
-  FaultPlan plan;
-  plan.drop_prob = 1.0;
-  plan.only_types = {MsgType::kPageRequest};
-  FaultInjector inj(plan);
-  EXPECT_TRUE(inj.OnTransmit(0, 1, MsgType::kPageRequest, 0, false).drop);
-  EXPECT_FALSE(inj.OnTransmit(0, 1, MsgType::kLockRequest, 0, false).drop);
-}
-
-TEST(FaultInjector, PairFilterRestrictsProbabilisticFaults) {
-  FaultPlan plan;
-  plan.drop_prob = 1.0;
-  plan.only_src = 0;
-  FaultInjector inj(plan);
-  EXPECT_TRUE(inj.OnTransmit(0, 1, MsgType::kPageRequest, 0, false).drop);
-  EXPECT_FALSE(inj.OnTransmit(1, 0, MsgType::kPageRequest, 0, false).drop);
-}
-
 TEST(ParsePartitionSpec, FullGrammar) {
   PartitionWindow w;
   std::string err;

@@ -29,7 +29,6 @@ SimConfig MigrConfig(int nodes, bool migrate) {
   SimConfig cfg = SmallConfig(ProtocolKind::kHlrc, nodes);
   cfg.protocol.home_policy = HomePolicy::kSingleNode;  // Writers never match.
   cfg.protocol.migrate_homes = migrate;
-  cfg.protocol.migrate_threshold = 3;
   return cfg;
 }
 
@@ -200,18 +199,18 @@ TEST(HomeMigration, SorAtScaleWithAdverseHomes) {
 }
 
 TEST(HomeMigration, MixedWritersOnOnePageStayExact) {
-  // Two writers false-sharing one page under migration pressure: streaks
-  // reset on writer changes, transfers may or may not fire depending on
-  // interleaving, and the data must stay exact either way (double-install
-  // or stale-forwarded-reply bugs would corrupt it).
+  // Two writers false-sharing one page under migration: node 2's flushes
+  // reset node 1's streak, but only every third round, so node 1 earns the
+  // home between them; the data must stay exact through the transfer
+  // (double-install or stale-forwarded-reply bugs would corrupt it).
   SimConfig cfg = MigrConfig(6, true);
-  cfg.protocol.migrate_threshold = 2;
   System sys(cfg);
   const GlobalAddr addr = sys.space().AllocPageAligned(1024);
   sys.Run([&](NodeContext& ctx) -> Task<void> {
     for (int r = 0; r < 10; ++r) {
-      // Node 1 writes half the page steadily (earning the migration), while
-      // node 2 writes the other half (false sharing keeps fetches flying).
+      // Node 1 writes half the page every round (earning the migration),
+      // while node 2 writes the other half now and then (false sharing keeps
+      // fetches flying).
       if (ctx.id() == 1) {
         co_await ctx.Lock(1);
         co_await ctx.Write(addr, 256);
@@ -219,7 +218,7 @@ TEST(HomeMigration, MixedWritersOnOnePageStayExact) {
           ctx.Ptr<int64_t>(addr)[i] = r * 100 + i;
         }
         co_await ctx.Unlock(1);
-      } else if (ctx.id() == 2) {
+      } else if (ctx.id() == 2 && r % 3 == 2) {
         co_await ctx.Lock(2);
         co_await ctx.Write(addr + 512, 256);
         for (int i = 0; i < 32; ++i) {
@@ -231,14 +230,16 @@ TEST(HomeMigration, MixedWritersOnOnePageStayExact) {
       co_await ctx.Read(addr, 1024);
       const int64_t* lo = ctx.Ptr<int64_t>(addr);
       const int64_t* hi = ctx.Ptr<int64_t>(addr + 512);
+      const int last2 = r < 2 ? -1 : r - (r - 2) % 3;  // Node 2's latest round.
       for (int i = 0; i < 32; i += 7) {
         EXPECT_EQ(lo[i], r * 100 + i) << "node " << ctx.id() << " round " << r;
-        EXPECT_EQ(hi[i], r * 1000 + i) << "node " << ctx.id() << " round " << r;
+        EXPECT_EQ(hi[i], last2 < 0 ? 0 : last2 * 1000 + i)
+            << "node " << ctx.id() << " round " << r;
       }
       co_await ctx.Barrier(1);
     }
   });
-  EXPECT_GE(Transfers(sys), 0);  // Data exactness above is the real check.
+  EXPECT_GE(Transfers(sys), 1);
 }
 
 // Migration composed with a lossy, delaying fabric, validated by the LRC

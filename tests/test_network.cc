@@ -40,15 +40,6 @@ TEST(Mesh2D, HopsAreManhattanDistance) {
   EXPECT_EQ(mesh.Hops(5, 10), 2);
 }
 
-TEST(Mesh2D, RouteLengthMatchesHops) {
-  Mesh2D mesh(16);
-  for (NodeId a = 0; a < 16; ++a) {
-    for (NodeId b = 0; b < 16; ++b) {
-      EXPECT_EQ(static_cast<int>(mesh.Route(a, b).size()), mesh.Hops(a, b));
-    }
-  }
-}
-
 TEST(Network, DeliversWithLatencyAndTransferTime) {
   Engine e;
   NetworkConfig cfg;
@@ -140,27 +131,6 @@ TEST(Network, TrafficStatsSplitUpdateAndProtocol) {
   EXPECT_EQ(s.protocol_bytes_sent, 20 + 8 + 2 * 32);
   EXPECT_EQ(s.msgs_by_type[static_cast<int>(MsgType::kDiffFlush)], 1);
   EXPECT_EQ(net.NodeStats(1).msgs_received, 2);
-}
-
-TEST(Network, LinkContentionDelaysCrossingRoutes) {
-  // Two transfers sharing a mesh link take longer with contention modelling.
-  auto run = [](bool contention) {
-    Engine e;
-    NetworkConfig cfg;
-    cfg.model_link_contention = contention;
-    cfg.header_bytes = 0;
-    Network net(&e, 16, cfg);
-    SimTime last = 0;
-    for (NodeId n = 0; n < 16; ++n) {
-      net.SetHandler(n, [&, n](Message) { last = std::max(last, e.Now()); });
-    }
-    // Both 0->3 and 1->3 share the links between columns 1..3 on row 0.
-    net.Send(MakeMsg(0, 3, 8192, 0));
-    net.Send(MakeMsg(1, 3, 8192, 0));
-    e.Run();
-    return last;
-  };
-  EXPECT_GE(run(true), run(false));
 }
 
 TEST(Network, HopLatencyIncreasesWithDistance) {

@@ -98,19 +98,6 @@ TEST(Processor, BackToBackInterruptsExtendAppProportionally) {
   EXPECT_EQ(p.busy().Total(), Micros(150));
 }
 
-TEST(Processor, IdleHookReportsGaps) {
-  Engine e;
-  Processor p(&e, "cpu");
-  std::vector<std::pair<SimTime, SimTime>> gaps;
-  p.SetIdleHook([&](SimTime a, SimTime b) { gaps.emplace_back(a, b); });
-  e.Schedule(Micros(10), [&] { p.RunService(Micros(5), BusyCat::kService, [] {}); });
-  e.Schedule(Micros(30), [&] { p.RunService(Micros(5), BusyCat::kService, [] {}); });
-  e.Run();
-  ASSERT_EQ(gaps.size(), 2u);
-  EXPECT_EQ(gaps[0], std::make_pair(Micros(0), Micros(10)));
-  EXPECT_EQ(gaps[1], std::make_pair(Micros(15), Micros(30)));
-}
-
 TEST(Processor, ZeroCostServiceStillRunsInOrder) {
   Engine e;
   Processor p(&e, "cpu");

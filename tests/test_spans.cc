@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/common/rng.h"
 #include "src/metrics/json.h"
 #include "src/metrics/json_writer.h"
+#include "src/net/fault_hook.h"
 #include "src/svm/system.h"
 #include "src/tracing/critpath.h"
 #include "src/tracing/span.h"
@@ -184,17 +186,30 @@ TEST(CritPath, RootsAttributeTheirOwnSubtrees) {
   ExpectExactPartition(sum, "two-root fixture");
 }
 
-// Regression (reliable delivery × tracing): a page request dropped by the
-// fault injector and recovered by the ReliableChannel must still read as ONE
-// connected fault chain — the retransmit stretch shows up as a kRetransmit
-// span on the fault's critical path instead of severing the DAG.
+// Drops page requests between two nodes with probability 0.4 and leaves
+// every other frame alone.
+class PageRequestDropper : public FaultHook {
+ public:
+  FaultDecision OnTransmit(NodeId src, NodeId dst, MsgType type, SimTime, bool) override {
+    FaultDecision d;
+    d.drop = type == MsgType::kPageRequest && src != dst && rng_.NextBool(0.4);
+    return d;
+  }
+
+ private:
+  Rng rng_{7};
+};
+
+// Regression (reliable delivery × tracing): a dropped page request recovered
+// by the ReliableChannel must still read as ONE connected fault chain — the
+// retransmit stretch shows up as a kRetransmit span on the fault's critical
+// path instead of severing the DAG.
 TEST(SpanDag, RetransmittedPageRequestStaysConnected) {
   SimConfig cfg = testing::SmallConfig(ProtocolKind::kHlrc, 4);
   cfg.reliability.enabled = true;
-  cfg.fault.seed = 7;
-  cfg.fault.drop_prob = 0.4;
-  cfg.fault.only_types = {MsgType::kPageRequest};
+  PageRequestDropper dropper;
   System sys(cfg);
+  sys.network().SetFaultHook(&dropper);
   SpanTracer* spans = sys.EnableSpans();
   const GlobalAddr addr = sys.space().AllocPageAligned(8 * 1024);
   sys.Run([&](NodeContext& ctx) -> Task<void> {

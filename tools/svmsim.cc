@@ -65,7 +65,7 @@ const ToolInfo kTool = {
     "svmsim",
     "Runs one benchmark application under one SVM protocol and prints the\n"
     "paper-style report (time breakdown, operation counts, traffic).",
-    "  --app=NAME            lu | sor | water-nsq | water-sp | raytrace\n"
+    "  --app=NAME            application to run (--list prints the names)\n"
     "  --protocol=NAME       lrc | olrc | hlrc | ohlrc | erc | aurc\n"
     "  --nodes=N             node count (default 8)\n"
     "  --scale=S             tiny | default | paper\n"
@@ -360,7 +360,7 @@ int Main(int argc, char** argv) {
   if (cfg.reliability.enabled) {
     std::printf("reliable delivery: timeout=%lldus backoff=%.1f max-retries=%d\n",
                 static_cast<long long>(cfg.reliability.retry_timeout / 1000),
-                cfg.reliability.retry_backoff, cfg.reliability.max_retries);
+                kRetryBackoff, cfg.reliability.max_retries);
   }
   const bool coalesce = cfg.network.coalesce;
   const bool wire_plane = coalesce || cfg.protocol.barrier_arity >= 2;
