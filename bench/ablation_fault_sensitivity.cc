@@ -28,7 +28,7 @@ int Main(int argc, char** argv) {
                                 ProtocolKind::kHlrc, ProtocolKind::kAurc};
 
   std::printf("=== Ablation: fault sensitivity (%d nodes, fault seed %llu) ===\n\n",
-              nodes, static_cast<unsigned long long>(opts.fault_seed));
+              nodes, static_cast<unsigned long long>(opts.base.fault.seed));
   Table table("");
   table.SetHeader({"Application", "Protocol", "Drop rate", "Time(s)", "Slowdown",
                    "Msgs", "Retransmits", "Acks"});
@@ -37,11 +37,7 @@ int Main(int argc, char** argv) {
       SimTime clean_time = 0;
       for (double drop : drop_rates) {
         SimConfig cfg = BaseConfig(opts, kind, nodes);
-        if (drop > 0) {
-          cfg.fault.drop_prob = drop;
-          cfg.fault.seed = opts.fault_seed;
-          cfg.reliability.enabled = true;
-        }
+        cfg.fault.drop_prob = drop;  // Every row, 0 included: the sweep owns the rate.
         const AppRunResult result = RunVerified(app, opts, cfg);
         const NodeReport totals = result.report.Totals();
         if (drop == 0.0) {

@@ -20,31 +20,28 @@ int Main(int argc, char** argv) {
                    "Update traffic"});
   for (const std::string& app : opts.apps) {
     for (int variant = 0; variant < 4; ++variant) {
-      BenchOptions o = opts;
+      SimConfig cfg = BaseConfig(opts, ProtocolKind::kHlrc, nodes);
       std::string label;
-      bool migrate = false;
       switch (variant) {
         case 0:
-          o.home_policy = HomePolicy::kBlock;
+          cfg.protocol.home_policy = HomePolicy::kBlock;
           label = "block";
           break;
         case 1:
-          o.home_policy = HomePolicy::kRoundRobin;
+          cfg.protocol.home_policy = HomePolicy::kRoundRobin;
           label = "round-robin";
           break;
         case 2:
-          o.home_policy = HomePolicy::kSingleNode;
+          cfg.protocol.home_policy = HomePolicy::kSingleNode;
           label = "single-node";
           break;
         case 3:
-          o.home_policy = HomePolicy::kSingleNode;
+          cfg.protocol.home_policy = HomePolicy::kSingleNode;
           label = "single-node + migration";
-          migrate = true;
+          cfg.protocol.migrate_homes = true;
           break;
       }
-      SimConfig cfg = BaseConfig(o, ProtocolKind::kHlrc, nodes);
-      cfg.protocol.migrate_homes = migrate;
-      const AppRunResult r = RunVerified(app, o, cfg);
+      const AppRunResult r = RunVerified(app, opts, cfg);
       const NodeReport avg = r.report.Average();
       table.AddRow({app, label, FmtSeconds(r.report.total_time),
                     Table::Fmt(avg.proto.read_misses), Table::Fmt(avg.proto.diffs_created),

@@ -24,7 +24,7 @@ int Main(int argc, char** argv) {
   for (const std::string& app : opts.apps) {
     for (int64_t page : {1024, 4096, 8192, 16384}) {
       BenchOptions o = opts;
-      o.page_size = page;
+      o.base.page_size = page;
       const AppRunResult lrc = RunVerified(app, o, BaseConfig(o, ProtocolKind::kLrc, nodes));
       const AppRunResult hlrc = RunVerified(app, o, BaseConfig(o, ProtocolKind::kHlrc, nodes));
       table.AddRow({app, Table::FmtBytes(page), FmtSeconds(lrc.report.total_time),

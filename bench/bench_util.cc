@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/cli.h"
@@ -31,41 +30,31 @@ const char* program = "bench";
   std::exit(2);
 }
 
+// A comma list of positive node counts, at least one.
+bool ParseNodeCounts(const std::string& s, std::vector<int>* out) {
+  out->clear();
+  for (const std::string& n : SplitList(s)) {
+    if (!ParseInt(n, &out->emplace_back(), 1)) {
+      return false;
+    }
+  }
+  return !out->empty();
+}
+
 }  // namespace
 
 BenchOptions ParseArgs(int argc, char** argv) {
   program = argv[0];
   BenchOptions opts;
+  SimConfig& base = opts.base;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
-    // VALUE that does not parse prints usage and exits 2 naming the flag (an
-    // empty branch below means the matcher already stored the value).
-    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
-    auto value = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    auto bad = [&](const std::string& want) { Usage(argv[0], arg + ": expected " + want); };
-    auto integer = [&](const char* p, auto* out, auto lo) {
-      if (has(p) && !ParseInt(value(p), out, lo)) {
-        bad("an integer >= " + std::to_string(lo));
-      }
-      return has(p);
-    };
-    if (has("--nodes=")) {
-      opts.node_counts.clear();
-      for (const std::string& n : SplitList(value("--nodes="))) {
-        if (!ParseInt(n, &opts.node_counts.emplace_back(), 1)) {
-          bad("a list of positive node counts");
-        }
-      }
-      if (opts.node_counts.empty()) {
-        bad("a list of positive node counts");
-      }
-    } else if (has("--scale=")) {
-      if (!ParseAppScale(value("--scale="), &opts.scale)) {
-        bad("tiny, default or paper");
-      }
-    } else if (has("--apps=")) {
-      opts.apps = SplitList(value("--apps="));
+    const FlagArg f(argv[i], [](const std::string& m) { Usage(program, m); });
+    const std::string& arg = f.arg();
+    if (f.Parsed("--nodes=", ParseNodeCounts, &opts.node_counts,
+                 "a list of positive node counts")) {
+    } else if (f.Parsed("--scale=", ParseAppScale, &opts.scale, "tiny, default or paper")) {
+    } else if (f.Has("--apps=")) {
+      opts.apps = SplitList(f.Value("--apps="));
       const std::vector<std::string> known = RegisteredAppNames();
       for (const std::string& app : opts.apps) {
         if (std::find(known.begin(), known.end(), app) == known.end()) {
@@ -73,33 +62,27 @@ BenchOptions ParseArgs(int argc, char** argv) {
         }
       }
       if (opts.apps.empty()) {
-        bad("a list of application names");
+        Usage(argv[0], arg + ": expected a list of application names");
       }
-    } else if (has("--protocols=")) {
+    } else if (f.Has("--protocols=")) {
       opts.protocols.clear();
-      if (!ParseProtocolFlags(value("--protocols="), &opts.protocols)) {
-        bad("a list of protocols: lrc | olrc | hlrc | ohlrc | erc | aurc");
-      }
-    } else if (integer("--page-size=", &opts.page_size, 1)) {
-    } else if (has("--home=")) {
-      if (!ParseHomePolicyName(value("--home="), &opts.home_policy)) {
-        bad("block, round-robin or single-node");
-      }
-    } else if (has("--fault-drop=")) {
-      if (!ParseProbability(value("--fault-drop="), &opts.fault_drop)) {
-        bad("a probability in [0, 1]");
-      }
-    } else if (integer("--fault-seed=", &opts.fault_seed, 0)) {
-    } else if (has("--json=")) {
-      opts.json_out = value("--json=");
-    } else if (integer("--jobs=", &opts.jobs, 0)) {
+      f.Parsed("--protocols=", ParseProtocolFlags, &opts.protocols,
+               "a list of protocols: lrc | olrc | hlrc | ohlrc | erc | aurc");
+    } else if (f.Int("--page-size=", &base.page_size, 1)) {
+    } else if (f.Parsed("--home=", ParseHomePolicyName, &base.protocol.home_policy,
+                        "block, round-robin or single-node")) {
+    } else if (f.Probability("--fault-drop=", &base.fault.drop_prob)) {
+    } else if (f.Int("--fault-seed=", &base.fault.seed, 0)) {
+    } else if (f.Has("--json=")) {
+      opts.json_out = f.Value("--json=");
+    } else if (f.Int("--jobs=", &opts.jobs, 0)) {
     } else if (arg == "--causal") {
       opts.causal = true;
     } else if (arg == "--reliable") {
-      opts.reliable = true;
+      base.reliability.enabled = true;
     } else if (arg == "--coalesce") {
-      opts.coalesce = true;
-    } else if (integer("--barrier-arity=", &opts.barrier_arity, 0)) {
+      base.network.coalesce = true;
+    } else if (f.Int("--barrier-arity=", &base.protocol.barrier_arity, 0)) {
     } else if (arg == "--no-verify") {
       opts.verify = false;
     } else if (arg == "--help" || arg == "-h") {
@@ -111,8 +94,7 @@ BenchOptions ParseArgs(int argc, char** argv) {
   if (opts.apps.empty()) {
     opts.apps = AppNames();
   }
-  const SimConfig cfg = BaseConfig(opts, opts.protocols.front(), opts.node_counts.front());
-  if (const std::string error = cfg.Validate(); !error.empty()) {
+  if (const std::string error = base.Validate(); !error.empty()) {
     Usage(argv[0], error);
   }
   return opts;
@@ -129,22 +111,9 @@ void CheckAppLimits(const App& app, const SimConfig& cfg) {
 }
 
 SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes) {
-  SimConfig cfg;
+  SimConfig cfg = opts.base;
   cfg.nodes = nodes;
-  cfg.page_size = opts.page_size;
-  cfg.shared_bytes = 256ll << 20;  // Mirrors are lazily backed; size generously.
   cfg.protocol.kind = kind;
-  cfg.protocol.home_policy = opts.home_policy;
-  if (opts.fault_drop > 0) {
-    cfg.fault.drop_prob = opts.fault_drop;
-    cfg.fault.seed = opts.fault_seed;
-    cfg.reliability.enabled = true;
-  }
-  if (opts.reliable) {
-    cfg.reliability.enabled = true;
-  }
-  cfg.network.coalesce = opts.coalesce;
-  cfg.protocol.barrier_arity = opts.barrier_arity;
   return cfg;
 }
 

@@ -21,23 +21,18 @@ struct BenchOptions {
   std::vector<ProtocolKind> protocols = {ProtocolKind::kLrc, ProtocolKind::kOlrc,
                                          ProtocolKind::kHlrc, ProtocolKind::kOhlrc};
   std::vector<std::string> apps;  // Empty => all five.
-  int64_t page_size = 4096;
-  HomePolicy home_policy = HomePolicy::kBlock;
   bool verify = true;
-  // Fault injection (docs/FAULTS.md): a nonzero drop rate makes BaseConfig
-  // produce a lossy fabric with reliable delivery enabled, so any table can
-  // be regenerated under degradation (e.g. paper_grid --fault-drop=0.01).
-  double fault_drop = 0.0;
-  uint64_t fault_seed = 42;
-  // Reliable delivery without faults (--reliable): acks/retransmit machinery
-  // on a clean fabric, the baseline the coalesced wire plane is measured
-  // against (paper_grid --reliable vs. --reliable --coalesce).
-  bool reliable = false;
-  // Coalesced wire plane (--coalesce, NetworkConfig::coalesce) + combining
-  // barrier tree (--barrier-arity=N). Piggybacked acks engage when
-  // reliability is on.
-  bool coalesce = false;
-  int barrier_arity = 0;
+  // The machine every run starts from; BaseConfig sets the run's node count
+  // and protocol. --page-size, --home, --fault-drop, --fault-seed,
+  // --reliable, --coalesce and --barrier-arity parse into it: e.g.
+  // paper_grid --fault-drop=0.01 regenerates the grid on a lossy fabric
+  // (docs/FAULTS.md), and --reliable is the clean-fabric baseline the
+  // coalesced wire plane is measured against.
+  SimConfig base = [] {
+    SimConfig c;
+    c.shared_bytes = 256ll << 20;  // Mirrors are lazily backed; size generously.
+    return c;
+  }();
   // Worker threads for benchmarks that fan data points out through
   // ParallelMap (src/sim/sweep.h). Each data point is an isolated System, so
   // tables and JSON output are byte-identical at any job count.
@@ -57,6 +52,7 @@ struct BenchOptions {
 // Unknown flags and malformed values print usage and exit 2.
 BenchOptions ParseArgs(int argc, char** argv);
 
+// `opts.base` with the run's node count and protocol.
 SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes);
 
 // Exits 2, naming the flag, if `app` cannot run on `cfg` (App::ConfigError):

@@ -159,7 +159,8 @@ void PrintTable2(const Grid& g) {
   const BenchOptions& opts = g.opts;
   std::printf("=== Table 2: Speedups on the simulated Paragon ===\n");
   std::printf("scale=%s page=%lld home=%s\n\n", AppScaleName(opts.scale),
-              static_cast<long long>(opts.page_size), HomePolicyName(opts.home_policy));
+              static_cast<long long>(opts.base.page_size),
+              HomePolicyName(opts.base.protocol.home_policy));
   Table table("Speedups (T_seq / T_parallel)");
   std::vector<std::string> header = {"Application", "T_seq(s)"};
   for (int nodes : opts.node_counts) {
@@ -313,7 +314,7 @@ void PrintTable5(const Grid& g) {
   const BenchOptions& opts = g.opts;
   // Under fault injection the reliable-delivery layer adds traffic of its
   // own; report it so degraded-fabric runs stay interpretable.
-  const bool faulty = opts.fault_drop > 0;
+  const bool faulty = opts.base.fault.drop_prob > 0;
   std::printf("=== Table 5: Communication traffic (totals across nodes) ===\n\n");
   Table table("");
   std::vector<std::string> header = {"Application",  "Nodes",       "Msgs LRC",
@@ -351,7 +352,8 @@ void PrintTable5(const Grid& g) {
   table.Print();
   if (faulty) {
     std::printf("\nFault injection active: drop=%.4f seed=%llu (reliable delivery on).\n",
-                opts.fault_drop, static_cast<unsigned long long>(opts.fault_seed));
+                opts.base.fault.drop_prob,
+                static_cast<unsigned long long>(opts.base.fault.seed));
   }
   std::printf(
       "\nPaper §4.6 shapes: HLRC sends one message per diff (to the home) and exactly one\n"

@@ -59,36 +59,26 @@ void ChaosStream::Record(char kind, uint64_t value) {
 }
 
 CheckResult RunOne(const CheckConfig& config) {
-  SimConfig sim;
-  sim.nodes = config.nodes;
-  sim.page_size = config.page_size;
-  sim.shared_bytes = config.shared_bytes;
-  sim.seed = config.seed;
-  sim.protocol.kind = config.protocol;
-  sim.protocol.mutation = config.mutation;
-  sim.fault = config.fault;
+  SimConfig sim = config.sim;
   if (sim.fault.Active() && sim.fault.seed == 0) {
     // Derive the injector's seed from the run seed so every explored seed
     // also explores a different loss pattern.
-    sim.fault.seed = Rng(config.seed).NextU64();
+    sim.fault.seed = Rng(sim.seed).NextU64();
   }
-  sim.reliability = config.reliability;
-  sim.network.coalesce = config.coalesce;
-  sim.protocol.barrier_arity = config.barrier_arity;
 
   LitmusConfig lcfg;
-  lcfg.nodes = config.nodes;
+  lcfg.nodes = sim.nodes;
   lcfg.rounds = config.rounds;
-  lcfg.seed = config.seed;
+  lcfg.seed = sim.seed;
   std::unique_ptr<LitmusTest> litmus = MakeLitmus(config.litmus, lcfg);
 
   System sys(sim);
   litmus->Setup(sys);
 
-  LrcOracle oracle(config.nodes);
+  LrcOracle oracle(sim.nodes);
   sys.SetAccessObserver(&oracle);
 
-  ChaosStream chaos(config.seed, config.max_jitter, config.decision_limit);
+  ChaosStream chaos(sim.seed, config.max_jitter, config.decision_limit);
   chaos.Install(sys, config.permute_tasks);
 
   sys.Run(litmus->Program());
@@ -114,7 +104,7 @@ SweepResult Sweep(const CheckConfig& base, uint64_t first_seed, int seeds,
   }
   auto run = [&base, first_seed](int i) {
     CheckConfig cfg = base;
-    cfg.seed = first_seed + static_cast<uint64_t>(i);
+    cfg.sim.seed = first_seed + static_cast<uint64_t>(i);
     return RunOne(cfg);
   };
   std::vector<CheckResult> results;

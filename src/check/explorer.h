@@ -31,18 +31,13 @@
 #include "src/check/oracle.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/fault/fault_plan.h"
-#include "src/net/reliable_channel.h"
-#include "src/proto/options.h"
+#include "src/svm/config.h"
 
 namespace hlrc {
 
 struct CheckConfig {
   std::string litmus = "message-passing";
-  ProtocolKind protocol = ProtocolKind::kHlrc;
-  int nodes = 4;
   int rounds = 3;
-  uint64_t seed = 1;
 
   // Chaos knobs.
   bool permute_tasks = true;         // Random tiebreak among same-time events.
@@ -51,27 +46,21 @@ struct CheckConfig {
   // (tiebreak 0, jitter 0). Minimize shrinks it; sweeps leave it unlimited.
   uint64_t decision_limit = std::numeric_limits<uint64_t>::max();
 
-  // Composition with src/fault: an Active() plan makes the fabric lossy
-  // (its seed is derived from `seed` when left at the 0 sentinel).
-  FaultPlan fault = [] {
-    FaultPlan p;
-    p.seed = 0;
-    return p;
-  }();
-  ReliabilityConfig reliability;
-  TestMutation mutation = TestMutation::kNone;
-
-  // Coalesced wire plane (NetworkConfig::coalesce: frame packing, request
-  // combining, and piggybacked acks whenever reliability is enabled too) and
-  // the combining barrier tree, so sweeps can hammer the coalesced paths
-  // with the same chaos.
-  bool coalesce = false;
-  int barrier_arity = 0;
-
+  // The machine every run builds. `sim.seed` also seeds the litmus program
+  // and the chaos stream. An Active() fault plan composes src/fault
+  // underneath (its seed is derived from `sim.seed` when left at the 0
+  // sentinel), and `sim.protocol.mutation` seeds a known protocol bug.
   // Small machine: litmus programs touch a handful of pages, and a small
   // page keeps diff traffic and sweep wall-time low.
-  int64_t page_size = 512;
-  int64_t shared_bytes = 1 << 20;
+  SimConfig sim = [] {
+    SimConfig c;
+    c.nodes = 4;
+    c.page_size = 512;
+    c.shared_bytes = 1 << 20;
+    c.seed = 1;
+    c.fault.seed = 0;
+    return c;
+  }();
 };
 
 // One chaos decision, for trace printing. kind 'T' = event tiebreak rank,

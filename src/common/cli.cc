@@ -41,6 +41,22 @@ bool ParseMicros(const std::string& s, SimTime* out, int64_t lo_us) {
   return true;
 }
 
+bool FlagArg::Probability(const char* prefix, double* out) const {
+  return Parsed(prefix, ParseProbability, out, "a probability in [0, 1]");
+}
+
+bool FlagArg::Micros(const char* prefix, SimTime* out, int64_t lo_us) const {
+  if (Has(prefix) && !ParseMicros(Value(prefix), out, lo_us)) {
+    Reject("microseconds >= " + std::to_string(lo_us));
+  }
+  return Has(prefix);
+}
+
+void FlagArg::Reject(const std::string& want) const {
+  fail_(arg_ + ": expected " + want);
+  std::abort();  // `fail` returned.
+}
+
 const char* ToolVersion() { return "hlrc-svm 0.7.0"; }
 
 void PrintUsage(const ToolInfo& tool, std::FILE* out) {

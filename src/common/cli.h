@@ -6,8 +6,10 @@
 //  * value parsers — comma lists, checked integers, reals and probabilities
 //    — so every command line accepts and rejects the same spellings (enum
 //    names parse through the name tables next to each enum, e.g.
-//    src/proto/options.h). The parsers only report success; each caller
-//    turns a failure into its own usage error;
+//    src/proto/options.h). The parsers only report success;
+//  * one flag matcher, FlagArg, that matches `PREFIX=VALUE` arguments,
+//    stores the parsed value and turns a malformed one into the tool's own
+//    usage error;
 //  * one usage formatter (so --help, usage errors and the docs all show the
 //    same text), a common --help/--version handler, and one version string
 //    for the whole toolbox. Tools describe themselves with a ToolInfo and
@@ -18,9 +20,11 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -54,6 +58,53 @@ bool ParseProbability(const std::string& s, double* out);
 // A duration in whole microseconds, at least `lo_us` and small enough that
 // its nanosecond SimTime does not overflow.
 bool ParseMicros(const std::string& s, SimTime* out, int64_t lo_us);
+
+// One command-line argument, matched against `PREFIX=VALUE` flags. Each
+// matcher is true when the argument starts with PREFIX and then stores the
+// parsed VALUE; a VALUE that does not parse calls `fail` with
+// "ARG: expected ...". `fail` must not return: each tool passes its usage
+// exit (UsageError, or a tool's own that also exits 2).
+class FlagArg {
+ public:
+  using Fail = void (*)(const std::string& message);
+
+  FlagArg(std::string arg, Fail fail) : arg_(std::move(arg)), fail_(fail) {}
+
+  const std::string& arg() const { return arg_; }
+  bool Has(const char* prefix) const { return arg_.starts_with(prefix); }
+  // The text after `prefix`; call it once Has(prefix) is true.
+  std::string Value(const char* prefix) const { return arg_.substr(std::strlen(prefix)); }
+
+  template <typename I>
+  bool Int(const char* prefix, I* out, std::type_identity_t<I> lo) const {
+    if (Has(prefix) && !ParseInt(Value(prefix), out, lo)) {
+      Reject("an integer >= " + std::to_string(lo));
+    }
+    return Has(prefix);
+  }
+  bool Probability(const char* prefix, double* out) const;
+  bool Micros(const char* prefix, SimTime* out, int64_t lo_us) const;
+  // An enum spelled through its name table (`parse` is e.g. ParseHomePolicyName).
+  template <typename T, typename Parse>
+  bool Named(const char* prefix, Parse parse, T* out) const {
+    return Parsed(prefix, parse, out, "a known name");
+  }
+  // Any other grammar: `parse(value, out)` is false on a malformed value,
+  // reported as "ARG: expected WANT".
+  template <typename T, typename Parse>
+  bool Parsed(const char* prefix, Parse parse, T* out, const char* want) const {
+    if (Has(prefix) && !parse(Value(prefix), out)) {
+      Reject(want);
+    }
+    return Has(prefix);
+  }
+
+ private:
+  [[noreturn]] void Reject(const std::string& want) const;
+
+  std::string arg_;
+  Fail fail_;
+};
 
 struct ToolInfo {
   const char* name;     // "svmcheck"

@@ -36,29 +36,16 @@ Fuzzer::Fuzzer(const FuzzConfig& config)
   HLRC_CHECK_MSG(config_.nodes >= 2, "fuzzing needs at least two nodes");
 }
 
-HarnessConfig Fuzzer::BaseHarness() const {
-  HarnessConfig hc;
-  hc.protocol = config_.primary;
-  hc.mutation = config_.mutation;
-  if (config_.fault_drop > 0.0 || config_.fault_delay > 0.0) {
-    hc.fault.drop_prob = config_.fault_drop;
-    hc.fault.delay_prob = config_.fault_delay;
-    hc.fault.seed = 0;  // Derived per-run from the schedule seed.
-  }
-  return hc;
-}
-
 Fuzzer::Processed Fuzzer::ExecuteBatch(const std::vector<FuzzInput>& inputs) {
   struct Slot {
     RunOutcome outcome;
     CoverageMap cov;
   };
-  const HarnessConfig base = BaseHarness();
   const int count = static_cast<int>(inputs.size());
   std::vector<Slot> slots = ParallelMap<Slot>(count, config_.jobs, [&](int i) {
     Slot s;
-    s.cov = CoverageMap(static_cast<uint64_t>(config_.primary) + 1);
-    s.outcome = RunGenome(inputs[static_cast<size_t>(i)], base, &s.cov);
+    s.cov = CoverageMap(static_cast<uint64_t>(config_.harness.protocol) + 1);
+    s.outcome = RunGenome(inputs[static_cast<size_t>(i)], config_.harness, &s.cov);
     return s;
   });
   ++stats_.batches;
@@ -93,7 +80,7 @@ Fuzzer::Processed Fuzzer::ExecuteBatch(const std::vector<FuzzInput>& inputs) {
     if (config_.differential && !config_.cross.empty() &&
         stats_.executions + static_cast<int>(config_.cross.size()) <= config_.budget) {
       const DifferentialResult diff =
-          RunDifferential(input, base, config_.cross, &coverage_);
+          RunDifferential(input, config_.harness, config_.cross, &coverage_);
       stats_.executions += diff.runs;
       stats_.differential_runs += diff.runs;
       if (diff.diverged) {
@@ -109,14 +96,14 @@ Fuzzer::Processed Fuzzer::ExecuteBatch(const std::vector<FuzzInput>& inputs) {
 }
 
 std::string Fuzzer::Check(const FuzzInput& input, bool differential, int* spent) {
-  const HarnessConfig base = BaseHarness();
-  const RunOutcome out = RunGenome(input, base, nullptr);
+  const RunOutcome out = RunGenome(input, config_.harness, nullptr);
   *spent += 1;
   if (!out.ok) {
     return out.violations.front();
   }
   if (differential && !config_.cross.empty()) {
-    const DifferentialResult diff = RunDifferential(input, base, config_.cross, nullptr);
+    const DifferentialResult diff =
+        RunDifferential(input, config_.harness, config_.cross, nullptr);
     *spent += diff.runs;
     if (diff.diverged) {
       return diff.reports.front();
@@ -246,7 +233,7 @@ FuzzResult Fuzzer::Run() {
     FuzzInput minimized =
         MinimizeInput(failure.failing, failure.differential, &result.violation);
     result.repro.input = std::move(minimized);
-    result.repro.config = BaseHarness();
+    result.repro.config = config_.harness;
     if (failure.differential) {
       result.repro.cross = config_.cross;
     }

@@ -51,20 +51,16 @@ struct FuzzConfig {
   int64_t shared_bytes = 1 << 20;
   SimTime max_jitter = Micros(150);
 
-  ProtocolKind primary = ProtocolKind::kHlrc;
+  // What every run, failure repro and corpus entry uses: the primary
+  // protocol fuzzed directly, a seeded protocol bug for canary regressions
+  // (tests/test_fuzz.cc, CI) and an optional fault plan under every run.
+  HarnessConfig harness;
   // Differential set; the first entry is the reference image.
   std::vector<ProtocolKind> cross = {ProtocolKind::kLrc, ProtocolKind::kErc,
                                      ProtocolKind::kHlrc, ProtocolKind::kAurc};
-  // Seeded protocol bug for canary regressions (tests/test_fuzz.cc, CI).
-  TestMutation mutation = TestMutation::kNone;
 
   bool feedback = true;      // Coverage-guided corpus growth.
   bool differential = true;  // Cross-protocol replay of novel inputs.
-
-  // Optional fault injection under every run (reliable delivery is forced
-  // on by the harness when active).
-  double fault_drop = 0.0;
-  double fault_delay = 0.0;
 
   // Wall-clock bound for CI smoke sessions; 0 = none. Checked between
   // batches only, so results up to the stopping point stay deterministic.
@@ -105,7 +101,6 @@ class Fuzzer {
   const CoverageMap& coverage() const { return coverage_; }
 
  private:
-  HarnessConfig BaseHarness() const;
   // Executes `inputs` in parallel under the primary protocol, then folds
   // results in slot order. Returns the first failing description, if any.
   struct Processed {

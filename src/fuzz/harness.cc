@@ -208,16 +208,9 @@ RunOutcome RunGenome(const FuzzInput& input, const HarnessConfig& config,
   sim.protocol.home_policy = config.home_policy;
   sim.protocol.migrate_homes = config.migrate_homes;
   sim.fault = config.fault;
-  sim.reliability = config.reliability;
-  if (sim.fault.Active()) {
-    if (sim.fault.seed == 0) {
-      // Derive the loss pattern from the schedule seed, like svmcheck.
-      sim.fault.seed = Rng(input.schedule.seed).NextU64();
-    }
-    // A dropped grant or barrier release on a lossless-transport protocol is
-    // a deadlock, which System::Run treats as fatal: always pair injected
-    // faults with the reliable-delivery layer.
-    sim.reliability.enabled = true;
+  if (sim.fault.Active() && sim.fault.seed == 0) {
+    // Derive the loss pattern from the schedule seed, like svmcheck.
+    sim.fault.seed = Rng(input.schedule.seed).NextU64();
   }
 
   System sys(sim);

@@ -31,7 +31,6 @@
 #include "src/fault/fault_plan.h"
 #include "src/fuzz/coverage.h"
 #include "src/fuzz/genome.h"
-#include "src/net/reliable_channel.h"
 #include "src/proto/options.h"
 
 namespace hlrc {
@@ -43,15 +42,13 @@ struct HarnessConfig {
   bool permute_tasks = true;
   HomePolicy home_policy = HomePolicy::kBlock;
   bool migrate_homes = false;
-  // An Active() plan makes the fabric lossy; RunGenome force-enables
-  // reliable delivery in that case (a dropped grant would otherwise abort
-  // the run as a deadlock).
+  // An Active() plan makes the fabric lossy, and with it turns on reliable
+  // delivery (SimConfig::Reliable()).
   FaultPlan fault = [] {
     FaultPlan p;
     p.seed = 0;  // 0 sentinel: derived from the schedule seed.
     return p;
   }();
-  ReliabilityConfig reliability;
 };
 
 struct RunOutcome {

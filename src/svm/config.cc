@@ -16,10 +16,9 @@ std::string SimConfig::Validate() const {
   if (std::string error = PageSizeError(page_size, shared_bytes); !error.empty()) {
     return error;
   }
-  // Fault injection turns reliable delivery on, and a piggybacked ack may wait
-  // kAckDelay: a timeout at or below it fires before a deferred ack arrives.
-  if ((reliability.enabled || fault.Active()) && network.coalesce &&
-      reliability.retry_timeout <= kAckDelay) {
+  // A piggybacked ack may wait kAckDelay: a timeout at or below it fires
+  // before a deferred ack arrives.
+  if (Reliable() && network.coalesce && reliability.retry_timeout <= kAckDelay) {
     return "--retry-timeout=" + std::to_string(reliability.retry_timeout / 1000) +
            ": expected more than " + std::to_string(kAckDelay / 1000) + " with --coalesce";
   }

@@ -41,10 +41,14 @@ struct SimConfig {
   NetworkConfig network;
   CostModel costs;
   // Fault injection (docs/FAULTS.md). An Active() plan makes the fabric
-  // lossy; pair it with `reliability.enabled` unless the point of the run is
-  // to watch a protocol deadlock.
+  // lossy, which turns reliable delivery on (Reliable()).
   FaultPlan fault;
   ReliabilityConfig reliability;
+
+  // Whether the run uses the reliable channel: set explicitly, or implied by
+  // an Active() fault plan — a dropped grant or barrier release on the bare
+  // fabric would deadlock the run. System applies it to `reliability`.
+  bool Reliable() const { return reliability.enabled || fault.Active(); }
 
   // Why the simulator would refuse this configuration, naming the flag that
   // sets the offending value, or "" when it can run it. Front ends call it

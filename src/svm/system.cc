@@ -165,12 +165,10 @@ void NodeContext::SnapshotPhase(int phase) {
 
 System::System(const SimConfig& config) : config_(config) {
   HLRC_CHECK(config_.nodes > 0);
+  config_.reliability.enabled = config_.Reliable();
   engine_ = std::make_unique<Engine>();
   network_ = std::make_unique<Network>(engine_.get(), config_.nodes, config_.network);
   if (config_.fault.Active()) {
-    HLRC_CHECK_MSG(config_.fault.dup_prob == 0 || config_.reliability.enabled,
-                   "duplicate injection needs the reliable channel's dedup "
-                   "(set reliability.enabled)");
     fault_ = std::make_unique<FaultInjector>(config_.fault);
     network_->SetFaultHook(fault_.get());
   }

@@ -152,8 +152,6 @@ class System {
   SharedSpace& space() { return *space_; }
   Engine& engine() { return *engine_; }
   Network& network() { return *network_; }
-  // Non-null when config.fault is active (injected-fault counters).
-  const FaultInjector* fault_injector() const { return fault_.get(); }
 
   // Enables the metrics layer (src/metrics): per-node latency histograms in
   // the protocol and network, the per-page heat profile, and a sampler that

@@ -31,7 +31,7 @@ TEST(BenchUtil, Defaults) {
   EXPECT_EQ(opts.scale, AppScale::kDefault);
   EXPECT_EQ(opts.apps.size(), 5u);
   EXPECT_EQ(opts.protocols.size(), 4u);
-  EXPECT_EQ(opts.page_size, 4096);
+  EXPECT_EQ(opts.base.page_size, 4096);
   EXPECT_TRUE(opts.verify);
 }
 
@@ -55,8 +55,8 @@ TEST(BenchUtil, ParsesProtocolsAndHome) {
   ASSERT_EQ(opts.protocols.size(), 2u);
   EXPECT_EQ(opts.protocols[0], ProtocolKind::kLrc);
   EXPECT_EQ(opts.protocols[1], ProtocolKind::kOhlrc);
-  EXPECT_EQ(opts.home_policy, HomePolicy::kRoundRobin);
-  EXPECT_EQ(opts.page_size, 8192);
+  EXPECT_EQ(opts.base.protocol.home_policy, HomePolicy::kRoundRobin);
+  EXPECT_EQ(opts.base.page_size, 8192);
   EXPECT_FALSE(opts.verify);
 }
 
@@ -214,7 +214,7 @@ TEST(BenchUtil, AppLimitsApplyOnlyToTheRunsMade) {
   EXPECT_EQ(opts.node_counts, (std::vector<int>{8, 32, 96}));
   EXPECT_EQ(opts.apps.size(), 5u);
   BenchOptions o = opts;
-  o.page_size = 1024;
+  o.base.page_size = 1024;
   EXPECT_TRUE(RunVerified("sor", o, BaseConfig(o, ProtocolKind::kHlrc, 32)).verified);
 }
 

@@ -109,8 +109,8 @@ TEST(LrcOracle, ProgramOrderOrdersSameNodeAccesses) {
 TEST(Explorer, SameSeedSameRun) {
   CheckConfig cfg;
   cfg.litmus = "message-passing";
-  cfg.protocol = ProtocolKind::kHlrc;
-  cfg.seed = 12345;
+  cfg.sim.protocol.kind = ProtocolKind::kHlrc;
+  cfg.sim.seed = 12345;
   const CheckResult a = RunOne(cfg);
   const CheckResult b = RunOne(cfg);
   EXPECT_TRUE(a.ok);
@@ -128,9 +128,9 @@ TEST(Explorer, SameSeedSameRun) {
 TEST(Explorer, DifferentSeedsPerturbTheSchedule) {
   CheckConfig cfg;
   cfg.litmus = "store-buffer";
-  cfg.seed = 1;
+  cfg.sim.seed = 1;
   const CheckResult a = RunOne(cfg);
-  cfg.seed = 2;
+  cfg.sim.seed = 2;
   const CheckResult b = RunOne(cfg);
   EXPECT_TRUE(a.ok);
   EXPECT_TRUE(b.ok);
@@ -141,11 +141,11 @@ TEST(Explorer, DifferentSeedsPerturbTheSchedule) {
 TEST(Explorer, DecisionLimitZeroMatchesChaosDisabled) {
   CheckConfig limited;
   limited.litmus = "lock-handoff";
-  limited.seed = 9;
+  limited.sim.seed = 9;
   limited.decision_limit = 0;
   CheckConfig off;
   off.litmus = "lock-handoff";
-  off.seed = 9;
+  off.sim.seed = 9;
   off.permute_tasks = false;
   off.max_jitter = 0;
   const CheckResult a = RunOne(limited);
@@ -162,7 +162,7 @@ TEST(Explorer, CleanProtocolsSurviveMiniSweep) {
     for (ProtocolKind protocol : kProtocols) {
       CheckConfig cfg;
       cfg.litmus = litmus;
-      cfg.protocol = protocol;
+      cfg.sim.protocol.kind = protocol;
       const SweepResult sweep = Sweep(cfg, /*first_seed=*/1, /*seeds=*/5);
       EXPECT_EQ(sweep.failures, 0)
           << litmus << " under " << ProtocolName(protocol) << " first failing seed "
@@ -175,9 +175,9 @@ TEST(Explorer, CleanProtocolsSurviveMiniSweep) {
 TEST(Explorer, SurvivesFaultInjectionComposition) {
   CheckConfig cfg;
   cfg.litmus = "barrier-propagation";
-  cfg.protocol = ProtocolKind::kHlrc;
-  cfg.fault.drop_prob = 0.05;
-  cfg.reliability.enabled = true;
+  cfg.sim.protocol.kind = ProtocolKind::kHlrc;
+  cfg.sim.fault.drop_prob = 0.05;
+  cfg.sim.reliability.enabled = true;
   const SweepResult sweep = Sweep(cfg, /*first_seed=*/1, /*seeds=*/5);
   EXPECT_EQ(sweep.failures, 0);
 }
@@ -190,10 +190,10 @@ TEST(Explorer, CoalescedWirePlaneSurvivesSweep) {
   for (ProtocolKind protocol : {ProtocolKind::kHlrc, ProtocolKind::kLrc}) {
     CheckConfig cfg;
     cfg.litmus = "barrier-propagation";
-    cfg.protocol = protocol;
-    cfg.coalesce = true;
-    cfg.barrier_arity = 3;
-    cfg.reliability.enabled = true;  // Engages ack piggybacking too.
+    cfg.sim.protocol.kind = protocol;
+    cfg.sim.network.coalesce = true;
+    cfg.sim.protocol.barrier_arity = 3;
+    cfg.sim.reliability.enabled = true;  // Engages ack piggybacking too.
     const SweepResult sweep = Sweep(cfg, /*first_seed=*/1, /*seeds=*/200);
     EXPECT_EQ(sweep.failures, 0)
         << ProtocolName(protocol) << " first failing seed " << sweep.first_failing_seed;
@@ -207,8 +207,8 @@ TEST(Explorer, CoalescedWirePlaneSurvivesSweep) {
 void ExpectMutationCaught(ProtocolKind protocol, TestMutation mutation) {
   CheckConfig cfg;
   cfg.litmus = "barrier-propagation";
-  cfg.protocol = protocol;
-  cfg.mutation = mutation;
+  cfg.sim.protocol.kind = protocol;
+  cfg.sim.protocol.mutation = mutation;
   const SweepResult sweep = Sweep(cfg, /*first_seed=*/1, /*seeds=*/200);
   ASSERT_TRUE(sweep.found_failure)
       << TestMutationName(mutation) << " not flagged in 200 seeds under "
@@ -216,7 +216,7 @@ void ExpectMutationCaught(ProtocolKind protocol, TestMutation mutation) {
   EXPECT_LE(sweep.first_failing_seed, 200u);
 
   // Reproduce from the reported seed alone.
-  cfg.seed = sweep.first_failing_seed;
+  cfg.sim.seed = sweep.first_failing_seed;
   const CheckResult replay = RunOne(cfg);
   ASSERT_FALSE(replay.ok);
   EXPECT_FALSE(replay.violations.empty());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/apps/app.h"
@@ -178,6 +179,32 @@ TEST(FaultEndToEnd, SorUnderDropIsDeterministic) {
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   for (size_t n = 0; n < a.nodes.size(); ++n) {
     EXPECT_EQ(a.nodes[n].finish_time, b.nodes[n].finish_time) << "node " << n;
+  }
+}
+
+// One rule decides reliable delivery for every caller of System: a fault plan
+// alone turns it on (SimConfig::Reliable()). Without it a dropped frame would
+// deadlock the run and an injected duplicate would reach a protocol handler.
+TEST(FaultEndToEnd, FaultPlanAloneTurnsOnReliableDelivery) {
+  for (const bool dup : {false, true}) {
+    SCOPED_TRACE(dup ? "dup_prob" : "drop_prob");
+    SimConfig cfg;
+    cfg.nodes = 8;
+    cfg.shared_bytes = 16ll << 20;
+    (dup ? cfg.fault.dup_prob : cfg.fault.drop_prob) = 0.02;
+    ASSERT_FALSE(cfg.reliability.enabled);
+    EXPECT_TRUE(cfg.Reliable());
+
+    auto app = MakeApp("sor", AppScale::kTiny);
+    System sys(cfg);
+    EXPECT_TRUE(sys.config().reliability.enabled);
+    app->Setup(sys);
+    sys.Run(app->Program());
+    std::string why;
+    EXPECT_TRUE(app->Verify(sys, &why)) << why;
+    const TrafficStats t = sys.report().Totals().traffic;
+    EXPECT_GT(t.acks_sent, 0);
+    EXPECT_GT(dup ? t.msgs_duplicated_dropped : t.msgs_retransmitted, 0);
   }
 }
 

@@ -197,7 +197,7 @@ FuzzConfig CanaryConfig(TestMutation mutation) {
   FuzzConfig cfg;
   cfg.seed = 7;
   cfg.budget = 10000;  // Pinned canary budget (ISSUE 7 acceptance).
-  cfg.mutation = mutation;
+  cfg.harness.mutation = mutation;
   return cfg;
 }
 

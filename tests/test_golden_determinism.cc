@@ -209,11 +209,11 @@ TEST(GoldenDeterminism, SpanTracingDoesNotChangeTheRun) {
 TEST(GoldenDeterminism, ParallelSweepMatchesSerialSweep) {
   CheckConfig base;
   base.litmus = "barrier-propagation";
-  base.protocol = ProtocolKind::kHlrc;
+  base.sim.protocol.kind = ProtocolKind::kHlrc;
   // Inject a mutation so some seeds genuinely fail and exercise the
   // on_failure path on both sides (same setup as test_check's mutation
   // regression, which flags this bug within 200 seeds).
-  base.mutation = TestMutation::kHlrcSkipDiffApply;
+  base.sim.protocol.mutation = TestMutation::kHlrcSkipDiffApply;
   constexpr uint64_t kFirstSeed = 1;
   constexpr int kSeeds = 200;
 

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -78,25 +77,10 @@ const ToolInfo kTool = {
 
 Options Parse(int argc, char** argv) {
   Options o;
+  SimConfig& sim = o.base.sim;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
-    // VALUE that does not parse exits 2 naming the flag (an empty branch
-    // below means the matcher already stored the value).
-    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    auto integer = [&](const char* p, auto* out, auto lo) {
-      if (has(p) && !ParseInt(val(p), out, lo)) {
-        UsageError(kTool, arg + ": expected an integer >= " + std::to_string(lo));
-      }
-      return has(p);
-    };
-    auto named = [&](const char* p, auto parse, auto* out) {
-      if (has(p) && !parse(val(p), out)) {
-        UsageError(kTool, arg + ": expected a known name");
-      }
-      return has(p);
-    };
+    const FlagArg f(argv[i], [](const std::string& m) { UsageError(kTool, m); });
+    const std::string& arg = f.arg();
     if (arg == "--list") {
       std::printf("litmus tests:");
       for (const std::string& l : LitmusNames()) {
@@ -112,50 +96,41 @@ Options Parse(int argc, char** argv) {
       }
       std::printf("\n");
       std::exit(0);
-    } else if (has("--litmus=")) {
-      const std::string s = val("--litmus=");
+    } else if (f.Has("--litmus=")) {
+      const std::string s = f.Value("--litmus=");
       o.litmus = s == "all" ? LitmusNames() : SplitList(s);
     } else if (arg == "--protocols=all") {
       for (const ProtocolSpelling& p : kProtocolSpellings) {
         o.protocols.push_back(p.value);
       }
-    } else if (named("--protocols=", ParseProtocolFlags, &o.protocols)) {
-    } else if (integer("--seeds=", &o.seeds, 1)) {
-    } else if (integer("--seed=", &o.first_seed, 0)) {
-    } else if (integer("--jobs=", &o.jobs, 0)) {
-    } else if (integer("--nodes=", &o.base.nodes, 2)) {  // A writer and a reader, at least.
-    } else if (integer("--rounds=", &o.base.rounds, 1)) {
-    } else if (integer("--page-size=", &o.base.page_size, 1)) {
-    } else if (has("--max-jitter-us=")) {
-      if (!ParseMicros(val("--max-jitter-us="), &o.base.max_jitter, 0)) {
-        UsageError(kTool, arg + ": expected microseconds >= 0");
-      }
+    } else if (f.Named("--protocols=", ParseProtocolFlags, &o.protocols)) {
+    } else if (f.Int("--seeds=", &o.seeds, 1)) {
+    } else if (f.Int("--seed=", &o.first_seed, 0)) {
+    } else if (f.Int("--jobs=", &o.jobs, 0)) {
+    } else if (f.Int("--nodes=", &sim.nodes, 2)) {  // A writer and a reader, at least.
+    } else if (f.Int("--rounds=", &o.base.rounds, 1)) {
+    } else if (f.Int("--page-size=", &sim.page_size, 1)) {
+    } else if (f.Micros("--max-jitter-us=", &o.base.max_jitter, 0)) {
     } else if (arg == "--no-permute") {
       o.base.permute_tasks = false;
-    } else if (named("--mutation=", ParseTestMutationName, &o.base.mutation)) {
-    } else if (has("--fault-drop=")) {
-      if (!ParseProbability(val("--fault-drop="), &o.base.fault.drop_prob)) {
-        UsageError(kTool, arg + ": expected a probability in [0, 1]");
-      }
+    } else if (f.Named("--mutation=", ParseTestMutationName, &sim.protocol.mutation)) {
+    } else if (f.Probability("--fault-drop=", &sim.fault.drop_prob)) {
     } else if (arg == "--coalesce") {
-      o.base.coalesce = true;
-    } else if (integer("--barrier-arity=", &o.base.barrier_arity, 0)) {
+      sim.network.coalesce = true;
+    } else if (f.Int("--barrier-arity=", &sim.protocol.barrier_arity, 0)) {
     } else if (arg == "--stop-on-failure") {
       o.stop_on_failure = true;
-    } else if (integer("--replay-seed=", &o.replay_seed, 0)) {
+    } else if (f.Int("--replay-seed=", &o.replay_seed, 0)) {
       o.replay = true;
-    } else if (integer("--limit=", &o.limit, 0)) {
+    } else if (f.Int("--limit=", &o.limit, 0)) {
       o.limit_set = true;
     } else if (!HandleCommonFlag(kTool, arg)) {
       UsageError(kTool, "unknown flag: " + arg);
     }
   }
-  if (const std::string error = PageSizeError(o.base.page_size, o.base.shared_bytes);
-      !error.empty()) {
+  if (const std::string error = sim.Validate(); !error.empty()) {
     UsageError(kTool, error);
   }
-  // A lossy fabric needs the reliable channel.
-  o.base.reliability.enabled = o.base.fault.drop_prob > 0;
   // --replay-seed and --limit only make sense as a pair: a replay without a
   // decision limit is not the minimized schedule svmcheck printed, and a
   // limit without a replay seed would silently run a full sweep.
@@ -184,9 +159,9 @@ Options Parse(int argc, char** argv) {
   // Limits of the litmus programs themselves, before any run.
   for (const std::string& name : o.litmus) {
     LitmusConfig lcfg;
-    lcfg.nodes = o.base.nodes;
+    lcfg.nodes = sim.nodes;
     lcfg.rounds = o.base.rounds;
-    if (const std::string error = MakeLitmus(name, lcfg)->ConfigError(o.base.page_size);
+    if (const std::string error = MakeLitmus(name, lcfg)->ConfigError(sim.page_size);
         !error.empty()) {
       UsageError(kTool, error);
     }
@@ -201,7 +176,7 @@ Options Parse(int argc, char** argv) {
 CheckConfig BaseConfig(const Options& o, const std::string& litmus, ProtocolKind protocol) {
   CheckConfig cfg = o.base;
   cfg.litmus = litmus;
-  cfg.protocol = protocol;
+  cfg.sim.protocol.kind = protocol;
   return cfg;
 }
 
@@ -235,7 +210,7 @@ int Replay(const Options& o) {
   for (const std::string& litmus : o.litmus) {
     for (ProtocolKind protocol : o.protocols) {
       CheckConfig cfg = BaseConfig(o, litmus, protocol);
-      cfg.seed = o.replay_seed;
+      cfg.sim.seed = o.replay_seed;
       cfg.decision_limit = o.limit;
       const CheckResult r = RunOne(cfg);
       std::printf("%-20s %-6s seed=%llu limit=%llu: %s (%lld reads, %lld writes, %llu decisions)\n",
@@ -263,7 +238,7 @@ int Main(int argc, char** argv) {
 
   const int jobs = EffectiveJobs(o.jobs, o.seeds);
   std::printf("svmcheck: %d seeds per pair, %d nodes, %d rounds, mutation=%s\n", o.seeds,
-              o.base.nodes, o.base.rounds, TestMutationName(o.base.mutation));
+              o.base.sim.nodes, o.base.rounds, TestMutationName(o.base.sim.protocol.mutation));
   int total_failures = 0;
   int64_t total_reads = 0;
   for (const std::string& litmus : o.litmus) {
@@ -280,15 +255,16 @@ int Main(int argc, char** argv) {
         std::printf("%-20s %-6s seed=%llu: VIOLATION — minimizing...\n", litmus.c_str(),
                     ProtocolName(protocol), static_cast<unsigned long long>(s));
         CheckConfig failing = base;
-        failing.seed = s;
+        failing.sim.seed = s;
         const MinimizedSchedule min = Minimize(failing);
+        const TestMutation mutation = base.sim.protocol.mutation;
         std::printf("  reproduce: svmcheck --replay-seed=%llu --limit=%llu "
                     "--litmus=%s --protocols=%s --nodes=%d --rounds=%d%s%s\n",
                     static_cast<unsigned long long>(s),
                     static_cast<unsigned long long>(min.config.decision_limit),
-                    litmus.c_str(), ProtocolFlag(protocol), base.nodes, base.rounds,
-                    base.mutation != TestMutation::kNone ? " --mutation=" : "",
-                    base.mutation != TestMutation::kNone ? TestMutationName(base.mutation) : "");
+                    litmus.c_str(), ProtocolFlag(protocol), base.sim.nodes, base.rounds,
+                    mutation != TestMutation::kNone ? " --mutation=" : "",
+                    mutation != TestMutation::kNone ? TestMutationName(mutation) : "");
         PrintTrace(min.result, min.config.decision_limit);
         PrintViolations(min.result);
       };

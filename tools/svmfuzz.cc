@@ -16,7 +16,6 @@
 // Exit status: 0 clean session (or reproducer confirmed), 1 violation or
 // divergence found (or reproducer did not reproduce), 2 bad invocation.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -98,8 +97,7 @@ bool WriteCorpus(const std::string& dir, const fuzz::Fuzzer& fuzzer,
   for (const fuzz::FuzzInput& input : fuzzer.corpus()) {
     fuzz::ReproFile entry;
     entry.input = input;
-    entry.config.protocol = cfg.primary;
-    entry.config.mutation = cfg.mutation;
+    entry.config = cfg.harness;
     char name[64];
     std::snprintf(name, sizeof(name), "corpus-%04d.repro", idx++);
     std::string error;
@@ -120,63 +118,38 @@ int Main(int argc, char** argv) {
   bool cover_report = false;
 
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
-    // VALUE that does not parse exits 2 naming the flag (an empty branch
-    // below means the matcher already stored the value).
-    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    auto integer = [&](const char* p, auto* out, auto lo) {
-      if (has(p) && !ParseInt(val(p), out, lo)) {
-        UsageError(kTool, arg + ": expected an integer >= " + std::to_string(lo));
-      }
-      return has(p);
-    };
-    auto probability = [&](const char* p, double* out) {
-      if (has(p) && !ParseProbability(val(p), out)) {
-        UsageError(kTool, arg + ": expected a probability in [0, 1]");
-      }
-      return has(p);
-    };
-    auto named = [&](const char* p, auto parse, auto* out) {
-      if (has(p) && !parse(val(p), out)) {
-        UsageError(kTool, arg + ": expected a known name");
-      }
-      return has(p);
-    };
-    if (integer("--budget=", &cfg.budget, 1)) {
-    } else if (integer("--seed=", &cfg.seed, 0)) {
-    } else if (integer("--jobs=", &cfg.jobs, 0)) {
-    } else if (integer("--batch=", &cfg.batch, 1)) {
-    } else if (integer("--nodes=", &cfg.nodes, 2)) {
-    } else if (integer("--page-size=", &cfg.page_size, 1)) {
-    } else if (has("--max-jitter-us=")) {
-      if (!ParseMicros(val("--max-jitter-us="), &cfg.max_jitter, 0)) {
-        UsageError(kTool, arg + ": expected microseconds >= 0");
-      }
-    } else if (named("--primary=", ParseProtocolFlag, &cfg.primary)) {
-    } else if (has("--cross=")) {
+    const FlagArg f(argv[i], [](const std::string& m) { UsageError(kTool, m); });
+    const std::string& arg = f.arg();
+    if (f.Int("--budget=", &cfg.budget, 1)) {
+    } else if (f.Int("--seed=", &cfg.seed, 0)) {
+    } else if (f.Int("--jobs=", &cfg.jobs, 0)) {
+    } else if (f.Int("--batch=", &cfg.batch, 1)) {
+    } else if (f.Int("--nodes=", &cfg.nodes, 2)) {
+    } else if (f.Int("--page-size=", &cfg.page_size, 1)) {
+    } else if (f.Micros("--max-jitter-us=", &cfg.max_jitter, 0)) {
+    } else if (f.Named("--primary=", ParseProtocolFlag, &cfg.harness.protocol)) {
+    } else if (f.Has("--cross=")) {
       cfg.cross.clear();
-      named("--cross=", ParseProtocolFlags, &cfg.cross);
-    } else if (named("--mutation=", ParseTestMutationName, &cfg.mutation)) {
-    } else if (probability("--fault-drop=", &cfg.fault_drop)) {
-    } else if (probability("--fault-delay=", &cfg.fault_delay)) {
+      f.Named("--cross=", ParseProtocolFlags, &cfg.cross);
+    } else if (f.Named("--mutation=", ParseTestMutationName, &cfg.harness.mutation)) {
+    } else if (f.Probability("--fault-drop=", &cfg.harness.fault.drop_prob)) {
+    } else if (f.Probability("--fault-delay=", &cfg.harness.fault.delay_prob)) {
     } else if (arg == "--no-feedback") {
       cfg.feedback = false;
     } else if (arg == "--no-differential") {
       cfg.differential = false;
-    } else if (has("--max-seconds=")) {
-      if (!ParseReal(val("--max-seconds="), &cfg.max_seconds, 0, 1e9)) {
-        UsageError(kTool, arg + ": expected a number of seconds >= 0");
-      }
-    } else if (has("--corpus-out=")) {
-      corpus_out = val("--corpus-out=");
-    } else if (has("--repro-out=")) {
-      repro_out = val("--repro-out=");
+    } else if (f.Parsed(
+                   "--max-seconds=",
+                   [](const std::string& s, double* out) { return ParseReal(s, out, 0, 1e9); },
+                   &cfg.max_seconds, "a number of seconds >= 0")) {
+    } else if (f.Has("--corpus-out=")) {
+      corpus_out = f.Value("--corpus-out=");
+    } else if (f.Has("--repro-out=")) {
+      repro_out = f.Value("--repro-out=");
     } else if (arg == "--cover-report") {
       cover_report = true;
-    } else if (has("--repro=")) {
-      replay_path = val("--repro=");
+    } else if (f.Has("--repro=")) {
+      replay_path = f.Value("--repro=");
     } else if (!HandleCommonFlag(kTool, arg)) {
       UsageError(kTool, "unknown flag: " + arg);
     }
@@ -194,7 +167,7 @@ int Main(int argc, char** argv) {
 
   std::printf("svmfuzz: seed=%llu budget=%d batch=%d jobs=%d primary=%s mutation=%s%s%s\n",
               static_cast<unsigned long long>(cfg.seed), cfg.budget, cfg.batch, cfg.jobs,
-              ProtocolName(cfg.primary), TestMutationName(cfg.mutation),
+              ProtocolName(cfg.harness.protocol), TestMutationName(cfg.harness.mutation),
               cfg.feedback ? "" : " (no feedback)",
               cfg.differential ? "" : " (no differential)");
   fuzz::Fuzzer fuzzer(cfg);

@@ -126,36 +126,8 @@ Options Parse(int argc, char** argv) {
   SimConfig& cfg = o.cfg;
   cfg.shared_bytes = 256ll << 20;  // Mirrors are lazily backed; size generously.
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
-    // VALUE that does not parse exits 2 naming the flag (an empty branch
-    // below means the matcher already stored the value).
-    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    auto integer = [&](const char* p, auto* out, auto lo) {
-      if (has(p) && !ParseInt(val(p), out, lo)) {
-        UsageError(kTool, arg + ": expected an integer >= " + std::to_string(lo));
-      }
-      return has(p);
-    };
-    auto probability = [&](const char* p, double* out) {
-      if (has(p) && !ParseProbability(val(p), out)) {
-        UsageError(kTool, arg + ": expected a probability in [0, 1]");
-      }
-      return has(p);
-    };
-    auto named = [&](const char* p, auto parse, auto* out) {
-      if (has(p) && !parse(val(p), out)) {
-        UsageError(kTool, arg + ": expected a known name");
-      }
-      return has(p);
-    };
-    auto micros = [&](const char* p, SimTime* out, int64_t lo) {
-      if (has(p) && !ParseMicros(val(p), out, lo)) {
-        UsageError(kTool, arg + ": expected microseconds >= " + std::to_string(lo));
-      }
-      return has(p);
-    };
+    const FlagArg f(argv[i], [](const std::string& m) { UsageError(kTool, m); });
+    const std::string& arg = f.arg();
     if (arg == "--list") {
       std::printf("applications:");
       for (const std::string& a : RegisteredAppNames()) {
@@ -167,53 +139,53 @@ Options Parse(int argc, char** argv) {
       }
       std::printf("\n");
       std::exit(0);
-    } else if (has("--app=")) {
-      o.app = val("--app=");
+    } else if (f.Has("--app=")) {
+      o.app = f.Value("--app=");
       o.app_set = true;
-    } else if (has("--record-trace=")) {
-      o.record_trace_path = val("--record-trace=");
-    } else if (has("--replay-trace=")) {
-      o.replay_trace_path = val("--replay-trace=");
-    } else if (named("--protocol=", ParseProtocolFlag, &cfg.protocol.kind)) {
-    } else if (integer("--nodes=", &cfg.nodes, 1)) {
+    } else if (f.Has("--record-trace=")) {
+      o.record_trace_path = f.Value("--record-trace=");
+    } else if (f.Has("--replay-trace=")) {
+      o.replay_trace_path = f.Value("--replay-trace=");
+    } else if (f.Named("--protocol=", ParseProtocolFlag, &cfg.protocol.kind)) {
+    } else if (f.Int("--nodes=", &cfg.nodes, 1)) {
       o.nodes_set = true;
-    } else if (named("--scale=", ParseAppScale, &o.scale)) {
-    } else if (integer("--page-size=", &cfg.page_size, 1)) {
+    } else if (f.Named("--scale=", ParseAppScale, &o.scale)) {
+    } else if (f.Int("--page-size=", &cfg.page_size, 1)) {
       o.page_size_set = true;
-    } else if (named("--home=", ParseHomePolicyName, &cfg.protocol.home_policy)) {
-    } else if (named("--diff-policy=", ParseDiffPolicyName, &cfg.protocol.diff_policy)) {
-    } else if (integer("--gc-threshold=", &cfg.protocol.gc_threshold_bytes, 1)) {
-    } else if (has("--trace=")) {
-      o.trace_path = val("--trace=");
-    } else if (has("--metrics-out=")) {
-      o.metrics_path = val("--metrics-out=");
-    } else if (micros("--sample-interval=", &o.sample_interval, 1)) {
+    } else if (f.Named("--home=", ParseHomePolicyName, &cfg.protocol.home_policy)) {
+    } else if (f.Named("--diff-policy=", ParseDiffPolicyName, &cfg.protocol.diff_policy)) {
+    } else if (f.Int("--gc-threshold=", &cfg.protocol.gc_threshold_bytes, 1)) {
+    } else if (f.Has("--trace=")) {
+      o.trace_path = f.Value("--trace=");
+    } else if (f.Has("--metrics-out=")) {
+      o.metrics_path = f.Value("--metrics-out=");
+    } else if (f.Micros("--sample-interval=", &o.sample_interval, 1)) {
     } else if (arg == "--coverage") {
       o.coverage = true;
-    } else if (integer("--seed=", &cfg.seed, 0)) {
+    } else if (f.Int("--seed=", &cfg.seed, 0)) {
       o.seed_set = true;
-    } else if (probability("--fault-drop=", &cfg.fault.drop_prob) ||
-               probability("--fault-dup=", &cfg.fault.dup_prob) ||
-               probability("--fault-delay=", &cfg.fault.delay_prob) ||
-               probability("--fault-corrupt=", &cfg.fault.corrupt_prob)) {
-    } else if (integer("--fault-seed=", &cfg.fault.seed, 0)) {
+    } else if (f.Probability("--fault-drop=", &cfg.fault.drop_prob) ||
+               f.Probability("--fault-dup=", &cfg.fault.dup_prob) ||
+               f.Probability("--fault-delay=", &cfg.fault.delay_prob) ||
+               f.Probability("--fault-corrupt=", &cfg.fault.corrupt_prob)) {
+    } else if (f.Int("--fault-seed=", &cfg.fault.seed, 0)) {
       o.fault_seed_set = true;
-    } else if (has("--partition=")) {
+    } else if (f.Has("--partition=")) {
       PartitionWindow w;
       std::string err;
-      if (!ParsePartitionSpec(val("--partition="), &w, &err)) {
+      if (!ParsePartitionSpec(f.Value("--partition="), &w, &err)) {
         UsageError(kTool, "bad --partition spec: " + err);
       }
       cfg.fault.partitions.push_back(std::move(w));
     } else if (arg == "--reliable") {
       cfg.reliability.enabled = true;
-    } else if (micros("--retry-timeout=", &cfg.reliability.retry_timeout, 1)) {
+    } else if (f.Micros("--retry-timeout=", &cfg.reliability.retry_timeout, 1)) {
       cfg.reliability.enabled = true;
-    } else if (integer("--retry-max=", &cfg.reliability.max_retries, 0)) {
+    } else if (f.Int("--retry-max=", &cfg.reliability.max_retries, 0)) {
       cfg.reliability.enabled = true;
     } else if (arg == "--coalesce") {
       cfg.network.coalesce = true;
-    } else if (integer("--barrier-arity=", &cfg.protocol.barrier_arity, 0)) {
+    } else if (f.Int("--barrier-arity=", &cfg.protocol.barrier_arity, 0)) {
     } else if (arg == "--migrate-homes") {
       cfg.protocol.migrate_homes = true;
     } else if (arg == "--per-node") {
@@ -269,9 +241,6 @@ int Main(int argc, char** argv) {
   const uint64_t derived_fault_seed = root.NextU64();
   if (!o.fault_seed_set) {
     cfg.fault.seed = derived_fault_seed;
-  }
-  if (cfg.fault.Active()) {
-    cfg.reliability.enabled = true;  // Faults imply reliable delivery.
   }
 
   std::unique_ptr<App> app;
@@ -357,7 +326,7 @@ int Main(int argc, char** argv) {
   if (cfg.fault.Active()) {
     std::printf("faults: %s\n", FaultPlanSummary(cfg.fault).c_str());
   }
-  if (cfg.reliability.enabled) {
+  if (cfg.Reliable()) {
     std::printf("reliable delivery: timeout=%lldus backoff=%.1f max-retries=%d\n",
                 static_cast<long long>(cfg.reliability.retry_timeout / 1000),
                 kRetryBackoff, cfg.reliability.max_retries);
@@ -366,7 +335,7 @@ int Main(int argc, char** argv) {
   const bool wire_plane = coalesce || cfg.protocol.barrier_arity >= 2;
   if (wire_plane) {
     std::printf("wire plane: coalesce=%s piggyback=%s barrier-arity=%d\n",
-                coalesce ? "on" : "off", coalesce && cfg.reliability.enabled ? "on" : "off",
+                coalesce ? "on" : "off", coalesce && cfg.Reliable() ? "on" : "off",
                 cfg.protocol.barrier_arity);
   }
   std::printf("verification: %s%s\n\n", verified ? "OK" : "FAILED ",
@@ -386,7 +355,7 @@ int Main(int argc, char** argv) {
   summary.AddRow({"Messages", Table::Fmt(totals.traffic.msgs_sent)});
   summary.AddRow({"Update traffic", Table::FmtBytes(totals.traffic.update_bytes_sent)});
   summary.AddRow({"Protocol traffic", Table::FmtBytes(totals.traffic.protocol_bytes_sent)});
-  if (cfg.reliability.enabled || cfg.fault.Active()) {
+  if (cfg.Reliable()) {
     summary.AddRow({"Retransmissions", Table::Fmt(totals.traffic.msgs_retransmitted)});
     summary.AddRow({"Dropped in net", Table::Fmt(totals.traffic.msgs_dropped_in_net)});
     summary.AddRow({"Duplicates dropped", Table::Fmt(totals.traffic.msgs_duplicated_dropped)});

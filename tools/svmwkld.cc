@@ -6,7 +6,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,12 @@ const ToolInfo kTool = {
     "COMMAND [flags]",
 };
 
-[[noreturn]] void Usage() {
+// Prints `svmwkld: MESSAGE` (when non-empty), the usage text and the pattern
+// names, then exits 2.
+[[noreturn]] void Usage(const std::string& message = "") {
+  if (!message.empty()) {
+    std::fprintf(stderr, "%s: %s\n", kTool.name, message.c_str());
+  }
   PrintUsage(kTool, stderr);
   std::fprintf(stderr, "patterns:");
   for (const std::string& p : wkld::SynthPatternNames()) {
@@ -49,63 +53,35 @@ struct Flags {
   std::string pattern;
   std::string in_path;
   std::string out_path;
-  int nodes = 8;
-  int64_t page_size = 4096;
-  int pages_per_node = 4;
-  int iterations = 8;
-  int ops = 16;
-  double write_frac = 0.5;
-  double locality = 0.8;
-  int64_t compute_ns = 2000;
-  uint64_t seed = 42;
+  wkld::SynthConfig synth;  // gen's generator settings; --pattern parses in CmdGen.
   int node = -1;
   int64_t limit = -1;
 };
 
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags f;
+  wkld::SynthConfig& g = f.synth;
   for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Value flags: each matcher is true when `arg` is PREFIX=VALUE, and a
-    // VALUE that does not parse exits 2 naming the flag (an empty branch
-    // below means the matcher already stored the value).
-    auto has = [&](const char* p) { return arg.rfind(p, 0) == 0; };
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    auto bad = [&](const std::string& want) {
-      std::fprintf(stderr, "%s: %s: expected %s\n", kTool.name, arg.c_str(), want.c_str());
-      Usage();
-    };
-    auto integer = [&](const char* p, auto* out, auto lo) {
-      if (has(p) && !ParseInt(val(p), out, lo)) {
-        bad("an integer >= " + std::to_string(lo));
-      }
-      return has(p);
-    };
-    auto fraction = [&](const char* p, double* out) {
-      if (has(p) && !ParseProbability(val(p), out)) {
-        bad("a fraction in [0, 1]");
-      }
-      return has(p);
-    };
-    if (has("--pattern=")) {
-      f.pattern = val("--pattern=");
-    } else if (has("--in=")) {
-      f.in_path = val("--in=");
-    } else if (has("--out=")) {
-      f.out_path = val("--out=");
-    } else if (integer("--nodes=", &f.nodes, 1)) {
-    } else if (integer("--page-size=", &f.page_size, 1)) {
-    } else if (integer("--pages-per-node=", &f.pages_per_node, 1)) {
-    } else if (integer("--iterations=", &f.iterations, 1)) {
-    } else if (integer("--ops=", &f.ops, 1)) {
-    } else if (fraction("--write-frac=", &f.write_frac)) {
-    } else if (fraction("--locality=", &f.locality)) {
-    } else if (integer("--compute-ns=", &f.compute_ns, 0)) {
-    } else if (integer("--seed=", &f.seed, 0)) {
-    } else if (integer("--node=", &f.node, 0)) {
-    } else if (integer("--limit=", &f.limit, 0)) {
-    } else if (!HandleCommonFlag(kTool, arg)) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+    const FlagArg a(argv[i], Usage);
+    if (a.Has("--pattern=")) {
+      f.pattern = a.Value("--pattern=");
+    } else if (a.Has("--in=")) {
+      f.in_path = a.Value("--in=");
+    } else if (a.Has("--out=")) {
+      f.out_path = a.Value("--out=");
+    } else if (a.Int("--nodes=", &g.nodes, 1)) {
+    } else if (a.Int("--page-size=", &g.page_size, 1)) {
+    } else if (a.Int("--pages-per-node=", &g.pages_per_node, 1)) {
+    } else if (a.Int("--iterations=", &g.iterations, 1)) {
+    } else if (a.Int("--ops=", &g.ops_per_iter, 1)) {
+    } else if (a.Parsed("--write-frac=", ParseProbability, &g.write_frac, "a fraction in [0, 1]")) {
+    } else if (a.Parsed("--locality=", ParseProbability, &g.locality, "a fraction in [0, 1]")) {
+    } else if (a.Int("--compute-ns=", &g.compute_ns, 0)) {
+    } else if (a.Int("--seed=", &g.seed, 0)) {
+    } else if (a.Int("--node=", &f.node, 0)) {
+    } else if (a.Int("--limit=", &f.limit, 0)) {
+    } else if (!HandleCommonFlag(kTool, a.arg())) {
+      std::fprintf(stderr, "unknown flag: %s\n", a.arg().c_str());
       Usage();
     }
   }
@@ -117,26 +93,16 @@ int CmdGen(const Flags& f) {
     std::fprintf(stderr, "gen needs --pattern and --out\n");
     Usage();
   }
-  wkld::SynthConfig cfg;
+  wkld::SynthConfig cfg = f.synth;
   if (!wkld::ParseSynthPattern(f.pattern, &cfg.pattern)) {
     std::fprintf(stderr, "unknown pattern '%s'\n", f.pattern.c_str());
     Usage();  // Lists the patterns.
   }
-  cfg.nodes = f.nodes;
-  cfg.page_size = f.page_size;
   if (const std::string error =
           PageSizeError(cfg.page_size, cfg.shared_bytes, wkld::kMinSynthPageSize);
       !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", kTool.name, error.c_str());
-    Usage();
+    Usage(error);
   }
-  cfg.pages_per_node = f.pages_per_node;
-  cfg.iterations = f.iterations;
-  cfg.ops_per_iter = f.ops;
-  cfg.write_frac = f.write_frac;
-  cfg.locality = f.locality;
-  cfg.compute_ns = f.compute_ns;
-  cfg.seed = f.seed;
   wkld::WriteSyntheticTrace(f.out_path, cfg);
   std::printf("synthetic %s trace written to %s (%d nodes, %d iterations, seed %" PRIu64
               ")\n",
