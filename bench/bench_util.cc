@@ -11,23 +11,24 @@ namespace hlrc {
 namespace bench {
 namespace {
 
-// argv[0], for messages printed after ParseArgs.
+// argv[0], for usage and error messages.
 const char* program = "bench";
 
-// Prints `message` (when non-empty) and the usage text, then exits 2.
-[[noreturn]] void Usage(const char* argv0, const std::string& message = "") {
+// Prints the usage text: after `message` on stderr, exiting 2, or for --help
+// (no message) on stdout, exiting 0.
+[[noreturn]] void Usage(const std::string& message = "") {
   if (!message.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv0, message.c_str());
+    std::fprintf(stderr, "%s: %s\n", program, message.c_str());
   }
-  std::fprintf(stderr,
+  std::fprintf(message.empty() ? stdout : stderr,
                "usage: %s [--nodes=8,32,64] [--scale=tiny|default|paper]\n"
                "          [--apps=lu,sor,water-nsq,water-sp,raytrace]\n"
                "          [--protocols=lrc,olrc,hlrc,ohlrc] [--page-size=N]\n"
                "          [--home=block|round-robin|single-node] [--no-verify]\n"
                "          [--fault-drop=P] [--fault-seed=N] [--json=FILE] [--jobs=N]\n"
-               "          [--causal] [--reliable] [--coalesce] [--barrier-arity=N]\n",
-               argv0);
-  std::exit(2);
+               "          [--causal] [--reliable] [--coalesce]\n",
+               program);
+  std::exit(message.empty() ? 0 : 2);
 }
 
 // A comma list of positive node counts, at least one.
@@ -48,7 +49,7 @@ BenchOptions ParseArgs(int argc, char** argv) {
   BenchOptions opts;
   SimConfig& base = opts.base;
   for (int i = 1; i < argc; ++i) {
-    const FlagArg f(argv[i], [](const std::string& m) { Usage(program, m); });
+    const FlagArg f(argv[i], Usage);
     const std::string& arg = f.arg();
     if (f.Parsed("--nodes=", ParseNodeCounts, &opts.node_counts,
                  "a list of positive node counts")) {
@@ -58,11 +59,11 @@ BenchOptions ParseArgs(int argc, char** argv) {
       const std::vector<std::string> known = RegisteredAppNames();
       for (const std::string& app : opts.apps) {
         if (std::find(known.begin(), known.end(), app) == known.end()) {
-          Usage(argv[0], "unknown app '" + app + "'");
+          Usage("unknown app '" + app + "'");
         }
       }
       if (opts.apps.empty()) {
-        Usage(argv[0], arg + ": expected a list of application names");
+        Usage(arg + ": expected a list of application names");
       }
     } else if (f.Has("--protocols=")) {
       opts.protocols.clear();
@@ -82,20 +83,19 @@ BenchOptions ParseArgs(int argc, char** argv) {
       base.reliability.enabled = true;
     } else if (arg == "--coalesce") {
       base.network.coalesce = true;
-    } else if (f.Int("--barrier-arity=", &base.protocol.barrier_arity, 0)) {
     } else if (arg == "--no-verify") {
       opts.verify = false;
     } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
+      Usage();
     } else {
-      Usage(argv[0], "unknown flag: " + arg);
+      Usage("unknown flag: " + arg);
     }
   }
   if (opts.apps.empty()) {
     opts.apps = AppNames();
   }
   if (const std::string error = base.Validate(); !error.empty()) {
-    Usage(argv[0], error);
+    Usage(error);
   }
   return opts;
 }
@@ -148,11 +148,7 @@ SimTime SequentialTime(const std::string& app_name, const BenchOptions& opts) {
   return result.report.nodes[0].cpu_busy.Get(BusyCat::kCompute);
 }
 
-std::string FmtSeconds(SimTime t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", ToSeconds(t));
-  return buf;
-}
+std::string FmtSeconds(SimTime t) { return Table::Fmt(ToSeconds(t), 2); }
 
 JsonWriter OpenBenchJson(const std::string& bench_name) {
   JsonWriter json;

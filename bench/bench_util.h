@@ -23,11 +23,10 @@ struct BenchOptions {
   std::vector<std::string> apps;  // Empty => all five.
   bool verify = true;
   // The machine every run starts from; BaseConfig sets the run's node count
-  // and protocol. --page-size, --home, --fault-drop, --fault-seed,
-  // --reliable, --coalesce and --barrier-arity parse into it: e.g.
-  // paper_grid --fault-drop=0.01 regenerates the grid on a lossy fabric
-  // (docs/FAULTS.md), and --reliable is the clean-fabric baseline the
-  // coalesced wire plane is measured against.
+  // and protocol. --page-size, --home, --fault-drop, --fault-seed, --reliable
+  // and --coalesce parse into it: e.g. paper_grid --fault-drop=0.01
+  // regenerates the grid on a lossy fabric (docs/FAULTS.md), and --reliable
+  // is the clean-fabric baseline the coalesced wire plane is measured against.
   SimConfig base = [] {
     SimConfig c;
     c.shared_bytes = 256ll << 20;  // Mirrors are lazily backed; size generously.
@@ -49,7 +48,7 @@ struct BenchOptions {
 
 // Parses --nodes=8,32,64 --scale=tiny|default|paper --apps=lu,sor
 // --protocols=lrc,hlrc --page-size=4096 --fault-drop=0.01 --fault-seed=7.
-// Unknown flags and malformed values print usage and exit 2.
+// --help prints usage on stdout (exit 0), a bad flag on stderr (exit 2).
 BenchOptions ParseArgs(int argc, char** argv);
 
 // `opts.base` with the run's node count and protocol.

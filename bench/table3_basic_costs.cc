@@ -1,6 +1,7 @@
 // Reproduces paper Table 3: costs of basic operations on the (simulated)
 // Paragon, plus the derived minimum page-miss and lock-acquire costs from
 // §4.3. Host speed is measured end to end by perfbench/, not here.
+#include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/net/network.h"
 #include "src/proto/cost_model.h"
@@ -54,7 +55,9 @@ void PrintModelTables() {
 }  // namespace
 }  // namespace hlrc
 
-int main() {
+int main(int argc, char** argv) {
+  // The shared bench flags (--help, usage errors); the model reads none.
+  hlrc::bench::ParseArgs(argc, argv);
   hlrc::PrintModelTables();
   return 0;
 }

@@ -45,13 +45,6 @@ NodeId WaterSpApp::OwnerOfCell(int cell, int nodes) const {
   return static_cast<NodeId>(static_cast<int64_t>(cell) * nodes / NumCells());
 }
 
-void WaterSpApp::ZBand(int layers, int nodes, NodeId id, int* first, int* last) {
-  const int per = layers / nodes;
-  const int extra = layers % nodes;
-  *first = id * per + std::min<int>(id, extra);
-  *last = *first + per - 1 + (id < extra ? 1 : 0);
-}
-
 void WaterSpApp::InitState(double* pos, double* vel, int32_t* cells) const {
   Rng rng(cfg_.seed);
   std::memset(cells, 0, static_cast<size_t>(NumCells()) * static_cast<size_t>(CellInts()) * 4);

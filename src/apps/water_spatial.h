@@ -46,7 +46,6 @@ class WaterSpApp : public App {
   int CellOfPos(const double* p) const;
   // Slab ownership: cells with z-layer in the node's band.
   NodeId OwnerOfCell(int cell, int nodes) const;
-  static void ZBand(int layers, int nodes, NodeId id, int* first, int* last);
 
   Task<void> NodeMain(NodeContext& ctx);
   void InitState(double* pos, double* vel, int32_t* cells) const;

@@ -24,10 +24,6 @@ int64_t* MetricsRegistry::Counter(const std::string& name, NodeId node) {
   return Resolve(&counters_, name, node, nodes_);
 }
 
-double* MetricsRegistry::Gauge(const std::string& name, NodeId node) {
-  return Resolve(&gauges_, name, node, nodes_);
-}
-
 Histogram* MetricsRegistry::Histo(const std::string& name, NodeId node) {
   return Resolve(&histograms_, name, node, nodes_);
 }

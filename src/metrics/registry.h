@@ -1,4 +1,4 @@
-// MetricsRegistry: named per-node counters, gauges, and histograms.
+// MetricsRegistry: named per-node counters and histograms.
 //
 // The registry is the slow path: instruments are resolved by name once, at
 // enable time, and the returned raw pointers are stable for the registry's
@@ -31,15 +31,11 @@ class MetricsRegistry {
   // Resolve (creating on first use) the per-node instrument. Pointers stay
   // valid until the registry is destroyed.
   int64_t* Counter(const std::string& name, NodeId node);
-  double* Gauge(const std::string& name, NodeId node);
   Histogram* Histo(const std::string& name, NodeId node);
 
   // Export iteration: name -> per-node values, ordered by name.
   const std::map<std::string, std::unique_ptr<std::vector<int64_t>>>& counters() const {
     return counters_;
-  }
-  const std::map<std::string, std::unique_ptr<std::vector<double>>>& gauges() const {
-    return gauges_;
   }
   const std::map<std::string, std::unique_ptr<std::vector<Histogram>>>& histograms() const {
     return histograms_;
@@ -54,7 +50,6 @@ class MetricsRegistry {
   // unique_ptr indirection keeps the vectors' addresses stable under map
   // rebalancing; each vector is sized to nodes_ at creation and never resized.
   std::map<std::string, std::unique_ptr<std::vector<int64_t>>> counters_;
-  std::map<std::string, std::unique_ptr<std::vector<double>>> gauges_;
   std::map<std::string, std::unique_ptr<std::vector<Histogram>>> histograms_;
 };
 

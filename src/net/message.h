@@ -67,10 +67,6 @@ struct Message {
   // tracing is off. Pure observation — never read by protocol logic.
   SpanId span = kNoSpan;
   std::unique_ptr<Payload> payload;
-
-  int64_t TotalBytes(int64_t header_bytes) const {
-    return header_bytes + update_bytes + protocol_bytes;
-  }
 };
 
 // Multi-part frame built by the coalescing send queue (NetworkConfig::

@@ -83,8 +83,6 @@ struct TrafficStats {
   int64_t msgs_coalesced = 0;      // Logical messages packed into bundles.
   int64_t acks_piggybacked = 0;    // Ack seqs that rode data frames from this node.
 
-  int64_t TotalBytesSent() const { return update_bytes_sent + protocol_bytes_sent; }
-
   // Field-wise sum (Network::TotalStats, RunReport::Totals) and quotient
   // (RunReport::Average).
   TrafficStats& operator+=(const TrafficStats& o) {

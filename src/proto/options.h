@@ -135,12 +135,6 @@ struct ProtocolOptions {
   // Homeless protocols trigger garbage collection at a barrier when a node's
   // protocol memory exceeds this threshold.
   int64_t gc_threshold_bytes = 4ll << 20;
-  // Combining barrier tree (--barrier-arity=N, N >= 2): barrier enters fan in
-  // and releases fan out over an N-ary tree rooted at the manager instead of
-  // the flat all-to-manager pattern, so the manager NIC serializes O(arity)
-  // frames per barrier instead of O(nodes). 0 (or 1) keeps the paper's flat
-  // centralized barrier.
-  int barrier_arity = 0;
   // Test-only fault seeding (see TestMutation above). Never set outside the
   // checker; kNone leaves every protocol untouched.
   TestMutation mutation = TestMutation::kNone;

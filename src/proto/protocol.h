@@ -1,11 +1,11 @@
 // Base class shared by all SVM protocols.
 //
 // One ProtocolNode lives on every simulated node. It owns the node's interval
-// and vector-timestamp machinery, the distributed lock algorithm and the
-// centralized barrier manager (paper §3.5), write-notice propagation, the
-// one message-service path (Serve: which processor, which interrupt, which
-// span), and the twin-diff and page-install steps every twin-based protocol
-// shares.
+// and vector-timestamp machinery, the distributed lock algorithm, the barrier
+// (paper §3.5's centralized manager, the one-level shape of a combining
+// tree), write-notice propagation, the one message-service path (Serve:
+// which processor, which interrupt, which span), and the twin-diff and
+// page-install steps every twin-based protocol shares.
 //
 // Subclasses implement update handling: where diffs go at interval end and
 // how a page fault is resolved (homeless diff collection for LRC/OLRC,
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -111,6 +112,11 @@ struct BarrierArrival {
   NodeId node = kInvalidNode;
   VectorClock vt;
 };
+
+// Arity of the combining barrier tree on the coalesced wire plane
+// (NetworkConfig::coalesce). Without it the tree has one level: every other
+// node is a child of the manager, the paper's centralized barrier.
+constexpr int kBarrierArity = 4;
 
 class ProtocolNode {
  public:
@@ -242,7 +248,7 @@ class ProtocolNode {
 
   // For the GC orchestration: the write notices node `node` is missing, i.e.
   // exactly what its barrier release will carry. Only valid at the barrier
-  // manager between all-arrived and the releases.
+  // manager (the tree's root) between all-arrived and the releases.
   IntervalBatch PackBarrierReleaseFor(BarrierId barrier, NodeId node) const;
 
   // Called on every node when a barrier release is applied; lets subclasses
@@ -463,9 +469,9 @@ class ProtocolNode {
   // The interval-close span of the interval being closed; valid during
   // OnIntervalClosed for subclasses to capture into deferred flush lambdas.
   SpanId interval_close_span() const { return interval_close_span_; }
-  // The manager's gather span for `barrier`, between first arrival and the
-  // releases (kNoSpan otherwise); lets subclass pre-release work (GC) stay
-  // connected to the barrier chain.
+  // This node's gather span for `barrier`, between its first fold and its
+  // combined enter or, at the manager, the releases (kNoSpan otherwise); lets
+  // subclass pre-release work (GC) stay connected to the barrier chain.
   SpanId BarrierGatherSpan(BarrierId barrier) const;
 
   ProtoStats stats_;
@@ -520,63 +526,51 @@ class ProtocolNode {
   void HandleLockGrant(LockId lock, IntervalBatch intervals);
 
   // ---- Barrier algorithm ---------------------------------------------------
+  //
+  // One combining tree rooted at the manager: node i's parent is
+  // (i - 1) / BarrierArity(). A leaf packs its records and sends its enter to
+  // its parent. A node with children folds its own arrival and each child's
+  // enter; once its whole subtree has arrived it packs once and sends one
+  // combined enter upward, or, at the root, runs BarrierPreRelease and
+  // releases its children. Releases fan out down the same tree.
 
   static constexpr NodeId kBarrierManager = 0;
 
-  struct BarrierManagerState {
-    int arrived = 0;
-    bool mem_pressure = false;
-    bool launched = false;  // BarrierAllArrived already triggered.
-    std::vector<VectorClock> arrival_vt;  // Indexed by node.
-    std::vector<bool> present;
-    // Span tracing: first arrival -> releases, linked from every arrival.
-    SpanId gather_span = kNoSpan;
-  };
-
-  // Combining barrier tree (ProtocolOptions::barrier_arity >= 2): per-node,
-  // per-barrier fan-in state. A node accumulates its own arrival plus its
-  // children's combined enters; once the whole subtree has arrived it sends
-  // one combined enter upward (the root instead builds BarrierManagerState
-  // and runs the flat release machinery toward its direct children).
-  struct BarrierTreeState {
+  // Per-barrier fan-in state of a node with children.
+  struct BarrierState {
     std::vector<BarrierArrival> arrivals;  // Subtree (node, arrival-vt) pairs.
     bool mem_pressure = false;
-    bool launched = false;  // Combined enter already sent / root launched.
+    bool launched = false;  // Combined enter sent / root's releases launched.
+    // Span tracing: first arrival -> combined enter or releases, linked from
+    // every arrival.
     SpanId gather_span = kNoSpan;
   };
 
-  bool TreeBarrier() const { return env_.options->barrier_arity >= 2; }
-  NodeId TreeParent(NodeId n) const {
-    return (n - 1) / env_.options->barrier_arity;
-  }
-  // Calls f(child) for every direct child of `n` in the barrier tree.
-  template <typename F>
-  void ForEachTreeChild(NodeId n, F f) const {
-    const NodeId first = n * env_.options->barrier_arity + 1;
-    for (NodeId c = first; c < first + env_.options->barrier_arity && c < env_.nodes; ++c) {
-      f(c);
-    }
-  }
-  int TreeSubtreeSize(NodeId n) const;
+  // kBarrierArity on the coalesced wire plane, else one level.
+  int BarrierArity() const;
+  NodeId BarrierParent() const { return (env_.self - 1) / BarrierArity(); }
 
-  // Folds `arrivals` (and their interval records) into this node's fan-in
-  // state; forwards the combined enter upward once the subtree is complete.
-  void TreeBarrierAccumulate(BarrierId barrier, std::vector<BarrierArrival> arrivals,
-                             IntervalBatch intervals, bool mem_pressure);
-  void TreeMaybeForwardUp(BarrierId barrier);
+  // Folds `arrivals` (this node's own, a leaf's, or a child subtree's) and
+  // their interval records into this node's fan-in state.
+  void FoldBarrierArrivals(BarrierId barrier, std::span<BarrierArrival> arrivals,
+                           const IntervalBatch& intervals, bool mem_pressure);
+  // Acts once the whole subtree has arrived: sends the combined enter up, or
+  // at the root runs BarrierPreRelease and the releases.
+  void MaybeBarrierSubtreeArrived(BarrierId barrier);
 
-  // Sends this node's enter toward `dst`: its vt and `recs`, plus — on the
-  // barrier tree — the (node, arrival-vt) pairs of its whole subtree. A flat
-  // enter is a tree enter with no arrivals.
+  // Sends this node's enter toward `dst`: its vt and `recs`, plus — for a
+  // node with children — the (node, arrival-vt) pairs of its whole subtree.
+  // A leaf's enter carries no pairs: it is its own arrival.
   void SendBarrierEnter(NodeId dst, BarrierId barrier, IntervalBatch recs, bool mem_pressure,
                         std::vector<BarrierArrival> arrivals);
   // Sends `dst` its release: every interval record its arrival vt lacks.
   // Returns the send-side cost to charge.
   SimTime SendBarrierRelease(NodeId dst, BarrierId barrier, const VectorClock& arrival_vt);
+  // Releases each direct child, in ascending node order, against the vt it
+  // arrived with. Returns the send-side cost to charge.
+  SimTime ReleaseBarrierChildren(BarrierId barrier, const BarrierState& bs);
+  static const VectorClock& ArrivalVt(const BarrierState& bs, NodeId node);
 
-  void HandleBarrierEnter(BarrierId barrier, NodeId node, const VectorClock& nvt,
-                          IntervalBatch intervals, bool mem_pressure);
-  void BarrierAllArrived(BarrierId barrier);
   void SendBarrierReleases(BarrierId barrier);
   void HandleBarrierRelease(BarrierId barrier, IntervalBatch intervals,
                             const VectorClock& max_vt);
@@ -586,8 +580,8 @@ class ProtocolNode {
   std::unordered_map<LockId, LockState> locks_;
   std::unordered_map<LockId, LockManagerState> lock_managers_;
 
-  std::unordered_map<BarrierId, BarrierManagerState> barrier_mgr_;
-  std::unordered_map<BarrierId, BarrierTreeState> barrier_tree_;
+  std::unordered_map<BarrierId, BarrierState> barriers_;
+  int barrier_subtree_ = 1;  // Nodes in this node's barrier subtree, itself included.
   std::unique_ptr<Completion> barrier_waiting_;
   VectorClock sent_to_manager_vt_;
 
@@ -626,8 +620,8 @@ struct BarrierEnterPayload : Payload {
   VectorClock vt;
   IntervalBatch intervals;
   bool mem_pressure = false;
-  // Combining barrier tree only: every (node, arrival-vt) pair of the
-  // sender's subtree, the sender included. Empty for a flat enter.
+  // Every (node, arrival-vt) pair of the sender's subtree, the sender
+  // included. Empty for a leaf's enter: `node` and `vt` are its arrival.
   std::vector<BarrierArrival> arrivals;
 };
 

@@ -107,18 +107,9 @@ inline void PutU32(Buffer& out, uint32_t v) {
   out.push_back(static_cast<uint8_t>(v >> 24));
 }
 
-inline void PutU64(Buffer& out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
 inline uint32_t GetU32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-inline uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) | static_cast<uint64_t>(GetU32(p + 4)) << 32;
 }
 
 // ---- CRC-32 ----------------------------------------------------------------

@@ -186,13 +186,15 @@ TEST(Explorer, SurvivesFaultInjectionComposition) {
 // acks, barrier tree) must be invisible to the consistency oracle: a 200-seed
 // chaos sweep through the coalesced paths finds no violation, and the sweep
 // genuinely exercises them (deterministically, so the counters are stable).
+// 13 nodes fill two levels of the 4-ary barrier tree, so interior nodes fold
+// and forward combined enters and fan their releases out.
 TEST(Explorer, CoalescedWirePlaneSurvivesSweep) {
   for (ProtocolKind protocol : {ProtocolKind::kHlrc, ProtocolKind::kLrc}) {
     CheckConfig cfg;
     cfg.litmus = "barrier-propagation";
+    cfg.sim.nodes = 13;
     cfg.sim.protocol.kind = protocol;
     cfg.sim.network.coalesce = true;
-    cfg.sim.protocol.barrier_arity = 3;
     cfg.sim.reliability.enabled = true;  // Engages ack piggybacking too.
     const SweepResult sweep = Sweep(cfg, /*first_seed=*/1, /*seeds=*/200);
     EXPECT_EQ(sweep.failures, 0)

@@ -153,6 +153,24 @@ TEST(Gc, ServicesAreChargedPerPage) {
   EXPECT_EQ(report.nodes[1].cpu_busy.Get(BusyCat::kGc), (2 + 3 + 3) * per_page);
 }
 
+TEST(Gc, CollectsUnderTheTwoLevelBarrierTree) {
+  // On the coalesced wire plane the barrier is a 4-ary tree: at 16 nodes
+  // nodes 1-3 fold their children's arrivals into combined enters, and the
+  // manager packs each node's GC validate batch against the arrival vt that
+  // reached it inside one of those enters.
+  for (const char* name : {"lu", "water-nsq"}) {
+    for (ProtocolKind kind : {ProtocolKind::kLrc, ProtocolKind::kOlrc}) {
+      auto app = MakeApp(name, AppScale::kTiny);
+      SimConfig cfg = SmallConfig(kind, 16, 16ll << 20, 4096);
+      cfg.network.coalesce = true;
+      cfg.protocol.gc_threshold_bytes = 4 << 10;
+      const AppRunResult r = RunApp(*app, cfg);
+      EXPECT_TRUE(r.verified) << name << " " << ProtocolName(kind) << ": " << r.why;
+      EXPECT_GT(r.report.Totals().proto.gc_runs, 0) << name << " " << ProtocolName(kind);
+    }
+  }
+}
+
 TEST(Gc, MigratoryChurnWithAggressiveGcAtScale) {
   // Regression: a GC validator could learn of intervals for its own pages
   // only from the barrier release — after the diffs were collected. LU-like

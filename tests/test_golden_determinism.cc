@@ -278,14 +278,13 @@ TEST(GoldenDeterminism, ReplayReproducesRecordedRun) {
 }
 
 // The coalesced wire plane is opt-in: a default-constructed config has its
-// one switch (NetworkConfig::coalesce: bundling, ack piggybacking and
-// request combining) and the barrier tree off, which together with
-// SummaryMatchesCheckedInGolden pins "flags off => bit-identical to the
+// one switch (NetworkConfig::coalesce: bundling, ack piggybacking, request
+// combining and the 4-ary barrier tree) off, which together with
+// SummaryMatchesCheckedInGolden pins "flag off => bit-identical to the
 // pre-coalescing golden" for all four protocol families.
 TEST(GoldenDeterminism, CoalescedWirePlaneIsOffByDefault) {
   SimConfig cfg;
   EXPECT_FALSE(cfg.network.coalesce);
-  EXPECT_EQ(cfg.protocol.barrier_arity, 0);
 }
 
 // Coalesce-on runs: deterministic, correct, and frame-accounting-consistent.
@@ -295,7 +294,6 @@ AppRunResult RunCoalesced(const std::string& app_name, ProtocolKind kind) {
   cfg.nodes = kNodes;
   cfg.protocol.kind = kind;
   cfg.network.coalesce = true;
-  cfg.protocol.barrier_arity = 4;
   return RunApp(*app, cfg);
 }
 

@@ -269,5 +269,41 @@ TEST(Barriers, ReusedBarrierIdsAcrossEpisodes) {
   EXPECT_EQ(sys.report().nodes[0].proto.barriers, 20);
 }
 
+// The barrier is one combining tree. Without --coalesce it has one level:
+// nodes 1-5 are leaves under the manager, the paper's centralized barrier.
+// With it the tree is 4-ary, so on 6 nodes node 1 has a child (node 5) and
+// nodes 2-5 are leaves. In one empty barrier a leaf folds nothing, and a node
+// with children pays barrier_handling per fold (its own arrival and each
+// child's enter) and per release it sends.
+TEST(Barriers, TreeRolesChargeTheirFolds) {
+  for (ProtocolKind kind : testing::AllProtocols()) {
+    std::vector<RunReport> reports;  // Flat, then coalesced.
+    SimConfig cfg = SmallConfig(kind, 6);
+    for (bool coalesce : {false, true}) {
+      cfg.network.coalesce = coalesce;
+      System sys(cfg);
+      sys.Run([](NodeContext& ctx) -> Task<void> { co_await ctx.Barrier(0); });
+      reports.push_back(sys.report());
+    }
+    auto handling = [&](const RunReport& r, NodeId n) {
+      return r.nodes[static_cast<size_t>(n)].cpu_busy.Get(BusyCat::kWriteNotice) /
+             cfg.costs.barrier_handling;
+    };
+    const RunReport& flat = reports[0];
+    const RunReport& tree = reports[1];
+    for (NodeId leaf = 2; leaf <= 5; ++leaf) {
+      EXPECT_EQ(flat.nodes[leaf].cpu_busy.Get(BusyCat::kWriteNotice), 0) << leaf;
+      EXPECT_EQ(tree.nodes[leaf].cpu_busy.Get(BusyCat::kWriteNotice), 0) << leaf;
+      EXPECT_EQ(flat.nodes[leaf].traffic.protocol_bytes_sent,
+                tree.nodes[leaf].traffic.protocol_bytes_sent)
+          << leaf;
+    }
+    EXPECT_EQ(handling(flat, 1), 0) << ProtocolName(kind);
+    EXPECT_EQ(handling(tree, 1), 3) << ProtocolName(kind);  // 2 folds, 1 release.
+    EXPECT_EQ(handling(flat, 0), 11) << ProtocolName(kind);  // 6 folds, 5 releases.
+    EXPECT_EQ(handling(tree, 0), 9) << ProtocolName(kind);   // 5 folds, 4 releases.
+  }
+}
+
 }  // namespace
 }  // namespace hlrc

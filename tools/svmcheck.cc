@@ -67,8 +67,8 @@ const ToolInfo kTool = {
     "  --mutation=NAME       none | hlrc-skip-diff-apply | lrc-skip-invalidate\n"
     "  --fault-drop=P        compose with fault injection: drop probability\n"
     "  --coalesce            coalesced wire plane (frame packing, request\n"
-    "                        combining; piggybacked acks with --fault-drop)\n"
-    "  --barrier-arity=N     combining barrier tree of arity N (0 = flat)\n"
+    "                        combining, a 4-ary barrier tree; piggybacked acks\n"
+    "                        with --fault-drop)\n"
     "  --stop-on-failure     stop a sweep at its first failing seed\n"
     "  --replay-seed=N       run exactly one seed (requires --limit)\n"
     "  --limit=N             decision limit for --replay-seed\n"
@@ -117,7 +117,6 @@ Options Parse(int argc, char** argv) {
     } else if (f.Probability("--fault-drop=", &sim.fault.drop_prob)) {
     } else if (arg == "--coalesce") {
       sim.network.coalesce = true;
-    } else if (f.Int("--barrier-arity=", &sim.protocol.barrier_arity, 0)) {
     } else if (arg == "--stop-on-failure") {
       o.stop_on_failure = true;
     } else if (f.Int("--replay-seed=", &o.replay_seed, 0)) {

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -541,17 +540,15 @@ int Main(int argc, char** argv) {
   bool per_page = false;
   int64_t top = 0;  // 0: the command's default.
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    const FlagArg f(argv[i], [](const std::string& m) { UsageError(kTool, m); });
+    const std::string& arg = f.arg();
     if (arg == "--check") {
       check_only = true;
     } else if (arg == "--diff") {
       diff = true;
     } else if (arg == "--per-page") {
       per_page = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      if (!ParseInt(arg.substr(std::strlen("--top=")), &top, 1)) {
-        UsageError(kTool, "--top must be a positive integer");
-      }
+    } else if (f.Int("--top=", &top, 1)) {
     } else if (!arg.empty() && arg[0] == '-') {
       if (!HandleCommonFlag(kTool, arg)) {
         UsageError(kTool, "unknown flag: " + arg);

@@ -98,9 +98,7 @@ const ToolInfo kTool = {
     "  --coalesce            coalesced wire plane: same-tick sends to one peer\n"
     "                        packed into multi-part frames, acks piggybacked on\n"
     "                        data (with --reliable), page requests combined at\n"
-    "                        the home\n"
-    "  --barrier-arity=N     combining barrier tree of arity N (default 0 =\n"
-    "                        flat all-to-manager barrier)\n"
+    "                        the home, barriers over a 4-ary combining tree\n"
     "  --list                print application and protocol names\n",
 };
 
@@ -185,7 +183,6 @@ Options Parse(int argc, char** argv) {
       cfg.reliability.enabled = true;
     } else if (arg == "--coalesce") {
       cfg.network.coalesce = true;
-    } else if (f.Int("--barrier-arity=", &cfg.protocol.barrier_arity, 0)) {
     } else if (arg == "--migrate-homes") {
       cfg.protocol.migrate_homes = true;
     } else if (arg == "--per-node") {
@@ -331,12 +328,9 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(cfg.reliability.retry_timeout / 1000),
                 kRetryBackoff, cfg.reliability.max_retries);
   }
-  const bool coalesce = cfg.network.coalesce;
-  const bool wire_plane = coalesce || cfg.protocol.barrier_arity >= 2;
-  if (wire_plane) {
-    std::printf("wire plane: coalesce=%s piggyback=%s barrier-arity=%d\n",
-                coalesce ? "on" : "off", coalesce && cfg.Reliable() ? "on" : "off",
-                cfg.protocol.barrier_arity);
+  if (cfg.network.coalesce) {
+    std::printf("wire plane: coalesce=on piggyback=%s barrier-arity=%d\n",
+                cfg.Reliable() ? "on" : "off", kBarrierArity);
   }
   std::printf("verification: %s%s\n\n", verified ? "OK" : "FAILED ",
               verified ? "" : why.c_str());
@@ -361,7 +355,7 @@ int Main(int argc, char** argv) {
     summary.AddRow({"Duplicates dropped", Table::Fmt(totals.traffic.msgs_duplicated_dropped)});
     summary.AddRow({"Acks", Table::Fmt(totals.traffic.acks_sent)});
   }
-  if (wire_plane) {
+  if (cfg.network.coalesce) {
     summary.AddRow({"Coalesced frames", Table::Fmt(totals.traffic.frames_coalesced)});
     summary.AddRow({"Messages coalesced", Table::Fmt(totals.traffic.msgs_coalesced)});
     summary.AddRow({"Acks piggybacked", Table::Fmt(totals.traffic.acks_piggybacked)});
