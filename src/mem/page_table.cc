@@ -1,45 +1,43 @@
 #include "src/mem/page_table.h"
 
-#include <sys/mman.h>
-
 #include <cstring>
 
 namespace hlrc {
+namespace {
 
-PageTable::PageTable(int64_t space_bytes, int64_t page_size)
-    : space_bytes_(space_bytes), page_size_(page_size) {
+int PagesOf(int64_t space_bytes, int64_t page_size) {
   HLRC_CHECK(page_size > 0 && (page_size & (page_size - 1)) == 0);
   HLRC_CHECK(space_bytes > 0 && space_bytes % page_size == 0);
-  num_pages_ = static_cast<int>(space_bytes / page_size);
-  void* mem = ::mmap(nullptr, static_cast<size_t>(space_bytes_), PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  HLRC_CHECK_MSG(mem != MAP_FAILED, "mmap of %lld bytes failed",
-                 static_cast<long long>(space_bytes_));
-  base_ = static_cast<std::byte*>(mem);
-  states_.resize(static_cast<size_t>(num_pages_));
+  return static_cast<int>(space_bytes / page_size);
 }
 
-PageTable::~PageTable() { ::munmap(base_, static_cast<size_t>(space_bytes_)); }
+}  // namespace
+
+PageTable::PageTable(int64_t space_bytes, int64_t page_size)
+    : space_bytes_(space_bytes),
+      page_size_(page_size),
+      num_pages_(PagesOf(space_bytes, page_size)),
+      data_(static_cast<size_t>(space_bytes)),
+      states_(static_cast<size_t>(num_pages_)) {}
 
 void PageTable::MakeTwin(PageId p) {
   PageState& st = State(p);
   HLRC_CHECK(st.twin == nullptr);
-  if (!twin_pool_.empty()) {
-    st.twin = std::move(twin_pool_.back());
-    twin_pool_.pop_back();
-    ++twin_pool_hits_;
+  if (free_twins_.empty()) {
+    twin_buffers_.push_back(std::make_unique<std::byte[]>(static_cast<size_t>(page_size_)));
+    st.twin = twin_buffers_.back().get();
   } else {
-    st.twin = std::make_unique<std::byte[]>(static_cast<size_t>(page_size_));
+    st.twin = free_twins_.back();
+    free_twins_.pop_back();
   }
-  std::memcpy(st.twin.get(), PageData(p), static_cast<size_t>(page_size_));
-  ++twin_count_;
+  std::memcpy(st.twin, PageData(p), static_cast<size_t>(page_size_));
 }
 
 void PageTable::DropTwin(PageId p) {
   PageState& st = State(p);
   if (st.twin != nullptr) {
-    twin_pool_.push_back(std::move(st.twin));
-    --twin_count_;
+    free_twins_.push_back(st.twin);
+    st.twin = nullptr;
   }
 }
 

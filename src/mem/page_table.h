@@ -1,11 +1,14 @@
 // Per-node software MMU.
 //
 // Each node mirrors the whole shared address space in one contiguous
-// anonymous mmap region, so application code can use ordinary pointers and
-// multi-page arrays stay contiguous. Pages the node never touches stay
-// unbacked (the kernel lazily zero-fills), which keeps 64-node simulations
-// cheap. Protection is checked in software by the SVM access layer; there is
-// no hardware mprotect involved.
+// array, so application code can use ordinary pointers and multi-page arrays
+// stay contiguous, and keeps one PageState per page of that space. Both live
+// in lazily zero-filled anonymous memory (ZeroArray): pages the node never
+// touches stay unbacked, data and state alike, which keeps 64-node
+// simulations cheap. That is why a fresh PageState is all zero bytes: it
+// stores its protection relative to kRead and its copy flag inverted.
+// Protection is checked in software by the SVM access layer; there is no
+// hardware mprotect involved.
 #ifndef SRC_MEM_PAGE_TABLE_H_
 #define SRC_MEM_PAGE_TABLE_H_
 
@@ -16,6 +19,7 @@
 
 #include "src/common/check.h"
 #include "src/common/types.h"
+#include "src/common/zero_array.h"
 
 namespace hlrc {
 
@@ -27,35 +31,34 @@ enum class PageProt : uint8_t {
 
 class PageState {
  public:
-  PageProt prot() const { return prot_; }
+  PageProt prot() const { return static_cast<PageProt>(prot_ + kReadLevel); }
 
   // Whether the protection lets an access of this kind through without a
   // fault.
-  bool Grants(bool write) const {
-    return write ? prot_ == PageProt::kReadWrite : prot_ != PageProt::kNone;
-  }
+  bool Grants(bool write) const { return write ? prot_ > 0 : prot_ >= 0; }
 
-  // Twin: clean snapshot taken at the first write of the current interval.
-  std::unique_ptr<std::byte[]> twin;
-  // Whether the local frame holds a (possibly stale) copy of the page. LRC
-  // keeps stale copies across invalidation so diffs can be applied in place;
-  // a page with no copy requires a full-page fetch.
-  bool has_copy = true;
+  // Twin: clean snapshot taken at the first write of the current interval, in
+  // a buffer of the table's twin pool; null when the page has none.
+  std::byte* twin = nullptr;
+  // Whether the local frame holds no copy of the page. LRC keeps stale copies
+  // across invalidation so diffs can be applied in place; a page with no copy
+  // requires a full-page fetch.
+  bool no_copy = false;
+  // Whether the page is in the node's open-interval dirty set
+  // (ProtocolNode::MarkDirty).
+  bool dirty = false;
 
  private:
   friend class PageTable;  // PageTable::SetProt is the only writer of prot_.
-  // Next to has_copy, so that a state stays 16 bytes: every node holds one
-  // per page of the shared space.
-  PageProt prot_ = PageProt::kRead;
+  static constexpr int kReadLevel = static_cast<int>(PageProt::kRead);
+  // The protection minus kRead: -1, 0 or 1.
+  int8_t prot_ = 0;
 };
 static_assert(sizeof(PageState) <= 16, "one PageState per page per node");
 
 class PageTable {
  public:
   PageTable(int64_t space_bytes, int64_t page_size);
-  ~PageTable();
-  PageTable(const PageTable&) = delete;
-  PageTable& operator=(const PageTable&) = delete;
 
   int64_t page_size() const { return page_size_; }
   int num_pages() const { return num_pages_; }
@@ -68,16 +71,16 @@ class PageTable {
 
   std::byte* PageData(PageId p) {
     HLRC_CHECK(p >= 0 && p < num_pages_);
-    return base_ + static_cast<int64_t>(p) * page_size_;
+    return data_.data() + static_cast<int64_t>(p) * page_size_;
   }
   const std::byte* PageData(PageId p) const {
     HLRC_CHECK(p >= 0 && p < num_pages_);
-    return base_ + static_cast<int64_t>(p) * page_size_;
+    return data_.data() + static_cast<int64_t>(p) * page_size_;
   }
 
   std::byte* AddrData(GlobalAddr addr) {
     HLRC_CHECK(addr < static_cast<GlobalAddr>(space_bytes_));
-    return base_ + addr;
+    return data_.data() + addr;
   }
 
   PageState& State(PageId p) {
@@ -93,10 +96,11 @@ class PageTable {
   // every change.
   void SetProt(PageId p, PageProt prot) {
     PageState& st = State(p);
-    if (prot < st.prot_) {
+    const auto level = static_cast<int8_t>(static_cast<int>(prot) - PageState::kReadLevel);
+    if (level < st.prot_) {
       ++prot_losses_;
     }
-    st.prot_ = prot;
+    st.prot_ = level;
   }
 
   // Protection changes so far that took access away from a page. A grant
@@ -115,24 +119,20 @@ class PageTable {
   bool HasTwin(PageId p) const { return State(p).twin != nullptr; }
 
   // Bytes currently held in twins (protocol memory accounting).
-  int64_t TwinBytes() const { return twin_count_ * page_size_; }
-  int64_t twin_count() const { return twin_count_; }
-
-  // Arena observability: buffers parked for reuse, and how many MakeTwin
-  // calls were served from the pool vs the allocator.
-  int64_t twin_pool_size() const { return static_cast<int64_t>(twin_pool_.size()); }
-  int64_t twin_pool_hits() const { return twin_pool_hits_; }
+  int64_t TwinBytes() const {
+    return static_cast<int64_t>(twin_buffers_.size() - free_twins_.size()) * page_size_;
+  }
 
  private:
   int64_t space_bytes_;
   int64_t page_size_;
   int num_pages_;
-  std::byte* base_;  // mmap'ed; owned.
-  std::vector<PageState> states_;
+  ZeroArray<std::byte> data_;
+  ZeroArray<PageState> states_;
   uint64_t prot_losses_ = 0;
-  int64_t twin_count_ = 0;
-  std::vector<std::unique_ptr<std::byte[]>> twin_pool_;
-  int64_t twin_pool_hits_ = 0;
+  // The twin pool: every buffer the table allocated, and those not in use.
+  std::vector<std::unique_ptr<std::byte[]>> twin_buffers_;
+  std::vector<std::byte*> free_twins_;
 };
 
 }  // namespace hlrc

@@ -5,7 +5,10 @@
 // diff bytes created for and applied to the page, and the set of distinct
 // writing nodes (a page with many writers is a false-sharing suspect at any
 // page size, the effect the paper's §4.8 SOR experiment isolates). All hooks
-// are O(1) increments; storage is a flat vector indexed by PageId.
+// are O(1) increments; storage is a flat array indexed by PageId, one
+// PageHeat for every page of the shared space, in lazily zero-filled memory
+// (ZeroArray), so only the pages a run touches take memory. A fresh PageHeat
+// is therefore all zero bytes.
 #ifndef SRC_METRICS_HEAT_H_
 #define SRC_METRICS_HEAT_H_
 
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/common/zero_array.h"
 
 namespace hlrc {
 
@@ -79,7 +83,7 @@ class PageHeatProfiler {
  private:
   PageHeat& At(PageId page) { return pages_[static_cast<size_t>(page)]; }
 
-  std::vector<PageHeat> pages_;
+  ZeroArray<PageHeat> pages_;
 };
 
 }  // namespace hlrc

@@ -92,7 +92,7 @@ void ErcProtocol::HandleUpdate(NodeId writer, uint64_t flush_id, std::vector<Dif
     if (pages().HasTwin(d.page)) {
       // Concurrent local writes on a falsely-shared page: keep the twin in
       // sync so the local diff stays disjoint.
-      ApplyDiff(d, pages().State(d.page).twin.get(), pages().page_size());
+      ApplyDiff(d, pages().State(d.page).twin, pages().page_size());
     }
     ++stats_.diffs_applied;
     MetricDiffApplied(d.page, d.DataBytes());

@@ -304,7 +304,7 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
     // now would forward those diffs to the new home and strand the waiter.
     return;
   }
-  if (IsDirtyInOpenInterval(page)) {
+  if (pages().State(page).dirty) {
     // Our own open interval is writing the master in place (home effect);
     // handing the page away now would orphan those uncommitted writes.
     return;

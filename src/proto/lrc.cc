@@ -129,7 +129,7 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
   // interrupts), so resolution restarts whenever the page is invalidated
   // mid-flight - the software equivalent of the store re-faulting.
   while (true) {
-    if (!pages().State(page).has_copy) {
+    if (pages().State(page).no_copy) {
       co_await FetchFullPage(page);
       continue;
     }
@@ -228,7 +228,7 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
     if (pages().HasTwin(page)) {
       // Keep the twin in sync so the next local diff contains only local
       // writes (multiple-writer correctness).
-      ApplyDiff(diff, pages().State(page).twin.get(), pages().page_size());
+      ApplyDiff(diff, pages().State(page).twin, pages().page_size());
     }
     ++stats_.diffs_applied;
     MetricDiffApplied(page, diff.DataBytes());
@@ -265,7 +265,7 @@ Task<void> LrcProtocol::FetchFullPage(PageId page) {
     SetCovered(page, writer, id);
   }
   faults_.erase(page);
-  pages().State(page).has_copy = true;
+  pages().State(page).no_copy = false;
   PrunePendingCovered(page);
 }
 
@@ -330,7 +330,7 @@ void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
 
 void LrcProtocol::ServePageRequest(PageId page, NodeId requester) {
   const PageState& st = pages().State(page);
-  HLRC_CHECK_MSG(st.has_copy, "node %d asked for page %d it does not hold", self(), page);
+  HLRC_CHECK_MSG(!st.no_copy, "node %d asked for page %d it does not hold", self(), page);
   auto payload = std::make_unique<HomelessPageReplyPayload>();
   payload->page = page;
   payload->data.assign(pages().PageData(page), pages().PageData(page) + pages().page_size());
@@ -597,7 +597,7 @@ void LrcProtocol::OnBarrierReleased() {
       // access fetches the whole page from the validator. This runs at a
       // barrier, when no grant is open, so no scan depends on this loss; it
       // is counted anyway, like every other.
-      pages().State(page).has_copy = false;
+      pages().State(page).no_copy = true;
       pages().SetProt(page, PageProt::kNone);
       std::vector<PendingWn>& pending = pending_[page];
       pending_count_ -= static_cast<int64_t>(pending.size());

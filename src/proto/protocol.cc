@@ -78,8 +78,7 @@ ProtocolNode::ProtocolNode(const Env& env)
     : vt_(env.nodes),
       interval_log_(env.nodes),
       env_(env),
-      sent_to_manager_vt_(env.nodes),
-      dirty_flag_(static_cast<size_t>(env.pages->num_pages()), false) {
+      sent_to_manager_vt_(env.nodes) {
   // Level by level: the children of nodes [lo, hi] are [lo*k + 1, hi*k + k].
   const int64_t k = BarrierArity();
   barrier_subtree_ = 0;
@@ -178,7 +177,7 @@ int64_t ProtocolNode::ProtocolMemoryBytes() const {
 
 Diff ProtocolNode::TakeTwinDiff(PageId page) {
   HLRC_CHECK(pages().HasTwin(page));
-  Diff d = CreateDiff(page, pages().State(page).twin.get(), pages().PageData(page),
+  Diff d = CreateDiff(page, pages().State(page).twin, pages().PageData(page),
                       pages().page_size());
   pages().DropTwin(page);
   return d;
@@ -188,9 +187,9 @@ void ProtocolNode::InstallPageData(PageId page, const std::vector<std::byte>& da
   HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
   std::byte* dst = pages().PageData(page);
   if (pages().HasTwin(page)) {
-    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size());
+    Diff local = CreateDiff(page, pages().State(page).twin, dst, pages().page_size());
     std::memcpy(dst, data.data(), data.size());
-    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
+    std::memcpy(pages().State(page).twin, data.data(), data.size());
     ApplyDiff(local, dst, pages().page_size());
   } else {
     std::memcpy(dst, data.data(), data.size());
@@ -201,17 +200,14 @@ void ProtocolNode::InstallPageData(PageId page, const std::vector<std::byte>& da
 // Intervals and write notices.
 
 void ProtocolNode::MarkDirty(PageId page) {
-  if (!dirty_flag_[static_cast<size_t>(page)]) {
-    dirty_flag_[static_cast<size_t>(page)] = true;
+  PageState& st = pages().State(page);
+  if (!st.dirty) {
+    st.dirty = true;
     open_dirty_.push_back(page);
     if (metrics_ != nullptr) {
       metrics_->heat->OnWrite(page, env_.self);
     }
   }
-}
-
-bool ProtocolNode::IsDirtyInOpenInterval(PageId page) const {
-  return dirty_flag_[static_cast<size_t>(page)];
 }
 
 ProtocolNode::CloseActions ProtocolNode::CloseIntervalPrepared() {
@@ -230,8 +226,9 @@ ProtocolNode::CloseActions ProtocolNode::CloseIntervalPrepared() {
   open_dirty_.clear();
 
   for (PageId p : rec.pages) {
-    dirty_flag_[static_cast<size_t>(p)] = false;
-    if (env_.pages->State(p).prot() == PageProt::kReadWrite) {
+    PageState& st = env_.pages->State(p);
+    st.dirty = false;
+    if (st.prot() == PageProt::kReadWrite) {
       env_.pages->SetProt(p, PageProt::kRead);
       actions.protect_cost += costs().page_protect;
       Cover(CoverageObserver::Domain::kPageTransition,

@@ -306,7 +306,6 @@ class ProtocolNode {
 
   // Marks a page dirty in the current open interval.
   void MarkDirty(PageId page);
-  bool IsDirtyInOpenInterval(PageId page) const;
 
   // Diffs `page` against its twin and drops the twin.
   Diff TakeTwinDiff(PageId page);
@@ -586,8 +585,7 @@ class ProtocolNode {
   VectorClock sent_to_manager_vt_;
 
   // Open-interval dirty set.
-  std::vector<PageId> open_dirty_;
-  std::vector<bool> dirty_flag_;  // Indexed by page.
+  std::vector<PageId> open_dirty_;  // Each one's PageState::dirty is set.
 };
 
 // Message payloads shared by all protocols.

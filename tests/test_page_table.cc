@@ -1,10 +1,14 @@
 #include "src/mem/page_table.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/mem/shared_space.h"
+#include "src/metrics/heat.h"
 
 namespace hlrc {
 namespace {
@@ -23,12 +27,50 @@ TEST(PageTable, StartsZeroFilledAndReadable) {
   PageTable pt(16 * 1024, 4096);
   for (PageId p = 0; p < pt.num_pages(); ++p) {
     EXPECT_EQ(pt.State(p).prot(), PageProt::kRead);
-    EXPECT_TRUE(pt.State(p).has_copy);
+    EXPECT_FALSE(pt.State(p).no_copy);
     const std::byte* data = pt.PageData(p);
     for (int i = 0; i < 4096; ++i) {
       EXPECT_EQ(data[i], std::byte{0});
     }
   }
+}
+
+// A ZeroArray element nothing has written is zero bytes, so the fresh value
+// of every type kept in one must be zero bytes too.
+TEST(PageTable, FreshStatesAreZeroBytes) {
+  EXPECT_TRUE(FreshIsZeroBytes<PageState>());
+  EXPECT_TRUE(FreshIsZeroBytes<PageHeat>());
+}
+
+// Host pages of [data, data + bytes) that mincore(2) finds resident. A page
+// that was only read counts too (it maps the shared zero page), so call this
+// before anything reads the range.
+int ResidentPages(const void* data, size_t bytes) {
+  const auto host_page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> resident((bytes + host_page - 1) / host_page);
+  EXPECT_EQ(mincore(const_cast<void*>(data), bytes, resident.data()), 0);
+  int n = 0;
+  for (unsigned char r : resident) {
+    n += r & 1;
+  }
+  return n;
+}
+
+TEST(PageTable, UntouchedStatesStayUnbacked) {
+  PageTable pt(256 << 20, 4096);
+  ASSERT_EQ(pt.num_pages(), 65536);
+  const PageState* states = &pt.State(0);  // Takes the address; reads nothing.
+  const size_t bytes = sizeof(PageState) * static_cast<size_t>(pt.num_pages());
+  EXPECT_EQ(ResidentPages(states, bytes), 0);
+  pt.SetProt(0, PageProt::kNone);
+  pt.SetProt(40000, PageProt::kReadWrite);
+  EXPECT_EQ(ResidentPages(states, bytes), 2);
+  // A page nothing wrote reads as a fresh state.
+  EXPECT_EQ(pt.State(65535).prot(), PageProt::kRead);
+  EXPECT_FALSE(pt.State(65535).no_copy);
+  EXPECT_FALSE(pt.HasTwin(65535));
+  EXPECT_EQ(pt.State(0).prot(), PageProt::kNone);
+  EXPECT_EQ(pt.State(40000).prot(), PageProt::kReadWrite);
 }
 
 TEST(PageTable, CountsEachProtectionLoss) {
@@ -67,10 +109,22 @@ TEST(PageTable, TwinSnapshotsAndTracksMemory) {
   EXPECT_EQ(pt.TwinBytes(), 4096);
   // Twin holds the snapshot even after the page changes.
   std::memset(pt.PageData(2), 0xCD, 4096);
-  EXPECT_EQ(pt.State(2).twin.get()[0], std::byte{0xAB});
+  EXPECT_EQ(pt.State(2).twin[0], std::byte{0xAB});
   pt.DropTwin(2);
   EXPECT_FALSE(pt.HasTwin(2));
   EXPECT_EQ(pt.TwinBytes(), 0);
+}
+
+TEST(PageTable, DroppedTwinBufferIsReused) {
+  PageTable pt(16 * 1024, 4096);
+  pt.MakeTwin(1);
+  const std::byte* buffer = pt.State(1).twin;
+  pt.DropTwin(1);
+  EXPECT_EQ(pt.TwinBytes(), 0);
+  EXPECT_EQ(pt.State(1).twin, nullptr);
+  pt.MakeTwin(3);
+  EXPECT_EQ(pt.State(3).twin, buffer);
+  EXPECT_EQ(pt.TwinBytes(), 4096);
 }
 
 TEST(PageTable, DropTwinIsIdempotent) {
